@@ -65,6 +65,8 @@ EXPR_CALL = "sumsq 400"
 # (read-cache hits after the first) and drops read references on its
 # inputs (coalesced by refcount batching).  Per-task Tcl work is tiny,
 # so this one is messaging-bound — it guards the *runtime* fast paths.
+# It compiles at -O0: the default -O1 keeps a, the test and the output
+# as Tcl values and leaves no rule, retrieve or refcount in the body.
 E2E_PROGRAM = """
 int n = 17;
 int m = n * 3 + 2;
@@ -154,7 +156,7 @@ def measure_dataflow(rounds: int = 3, workers: int = 2) -> dict:
 
     def run(**flags) -> float:
         t0 = time.perf_counter()
-        res = swift_run(E2E_PROGRAM, workers=workers, **flags)
+        res = swift_run(E2E_PROGRAM, workers=workers, opt=0, **flags)
         elapsed = time.perf_counter() - t0
         assert sorted(res.stdout_lines) == E2E_EXPECTED
         return elapsed
@@ -280,7 +282,7 @@ def test_dataflow_hotpath(benchmark):
     """
     result = measure_dataflow(rounds=2)
     benchmark.pedantic(
-        lambda: swift_run(E2E_PROGRAM, workers=2), rounds=2, iterations=1
+        lambda: swift_run(E2E_PROGRAM, workers=2, opt=0), rounds=2, iterations=1
     )
     benchmark.extra_info.update(result)
     assert result["speedup"] >= 0.9, (
@@ -295,7 +297,7 @@ def test_dataflow_hotpath(benchmark):
 
 def test_cache_metrics_exposed():
     """A traced run exposes the compile/read-cache/VM counters."""
-    res = swift_run(E2E_PROGRAM, workers=2, trace=True)
+    res = swift_run(E2E_PROGRAM, workers=2, opt=0, trace=True)
     counters = res.trace.metrics["counters"]
     assert counters.get("tcl.compile.hits", 0) > 0
     assert counters.get("tcl.compile.misses", 0) > 0

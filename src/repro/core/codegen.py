@@ -13,6 +13,25 @@ exactly one slot per writer *statement* it contains; compound
 statements (if, foreach, wait, calls) hold one slot and rebalance on
 entry (``incr W-1``); a container is created with ``1 + W`` slots and
 the declaration slot is released at the end of its block.
+
+Value/future split (``-O1`` and up, after STC's own split): a scalar
+produced and consumed inside one proc is a Tcl *value* (a local set by
+``expr``, a loop index, a literal), not a TD.  A group of pure operators
+whose leaves include futures waits on those leaves with one
+``turbine::rule ... LOCAL``; its continuation retrieves each leaf once
+and computes the rest locally.  The continuation of a scalar's wait
+takes the rest of the enclosing block when every later statement only
+computes, with operators, on values set from it (so none of them could
+run sooner at ``-O0``); otherwise it covers just the one statement.  An
+operator group that can fail (division, modulo, a power, a string
+comparison) always runs in its own continuation, so a failure loses
+what it loses at ``-O0`` and nothing more.  A value becomes a TD only
+where it crosses a task boundary: a leaf-call argument, an array
+member, an outer variable.
+``if`` on a value is a plain Tcl ``if``; ``printf``/``trace`` on values
+call ``turbine::log_output`` directly.  ``-O0`` is the straight
+translation (every scalar a TD, every operator a rule) and serves as the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -106,12 +125,84 @@ def writer_count(block: Block, name: str) -> int:
     return sum(1 for s in block.stmts if name in writes_arrays(s))
 
 
+def value_args(args: list[Expr]) -> bool:
+    """Arguments the split can pass to ``printf``/``trace`` as values."""
+    return all(a.type in (INT, FLOAT, BOOLEAN, STRING) for a in args)
+
+
+def is_pure_op(expr: Expr) -> bool:
+    """An operator the split computes locally with ``expr``."""
+    if isinstance(expr, UnOp):
+        return True
+    return isinstance(expr, BinOp) and not (expr.op == "+" and expr.type == STRING)
+
+
+def can_raise(e: Expr) -> bool:
+    """Whether computing a pure operator group can fail at run time.
+
+    Division and modulo can, unless the divisor is a nonzero literal; so
+    can a power, unless it raises an integer to a non-negative literal,
+    and a string comparison, whose ``expr`` text embeds the operands.
+    Impure subexpressions are separate TDs and do not count.
+    """
+    if isinstance(e, UnOp):
+        return can_raise(e.operand)
+    if not (isinstance(e, BinOp) and is_pure_op(e)):
+        return False
+    r = e.right
+    if e.op in ("/", "%"):
+        risky = not (isinstance(r, Literal) and r.value != 0)
+    elif e.op == "**":
+        risky = not (e.type == INT and isinstance(r, Literal) and r.value >= 0)
+    else:
+        risky = e.left.type == STRING
+    return risky or can_raise(e.left) or can_raise(r)
+
+
+def pure_reads(e: Expr) -> set[str] | None:
+    """Variables a tree of pure operators reads; None if it holds a call
+    or a subscript."""
+    if isinstance(e, Literal):
+        return set()
+    if isinstance(e, VarRef):
+        return {e.name}
+    if isinstance(e, UnOp):
+        return pure_reads(e.operand)
+    if isinstance(e, BinOp) and is_pure_op(e):
+        a, b = pure_reads(e.left), pure_reads(e.right)
+        return None if a is None or b is None else a | b
+    return None
+
+
+def defined_names(stmt: Stmt) -> list[str]:
+    """Scalar or array names a Decl with an initializer or an Assign sets."""
+    if isinstance(stmt, Decl):
+        return [stmt.name] if stmt.init is not None else []
+    if isinstance(stmt, Assign):
+        return [t.name for t in stmt.targets if t.index is None]
+    return []
+
+
+def _simple(text: str) -> bool:
+    """A Tcl expr operand that needs no parentheses."""
+    return (text.startswith("$") and text[1:].replace("_", "a").isalnum()) or (
+        text.replace(".", "", 1).isdigit()
+    )
+
+
+# Tail waits nest one continuation per statement that waits on a new
+# future, and each passes the values later statements read down to the
+# next, so a long chain of such statements would cost time and stack
+# quadratic in its length.  Past this depth a wait covers one statement.
+MAX_TAIL_DEPTH = 16
+
+
 # ---------------------------------------------------------------- values
 
 
 @dataclass
 class CgVal:
-    """A compiled expression value: constant, spawn-time value, or TD."""
+    """A compiled expression value: constant, Tcl value, or TD."""
 
     type: SwiftType
     kind: str  # 'const' | 'rtval' | 'td'
@@ -143,9 +234,18 @@ class Slot:
         self.kind = kind  # 'td' | 'const' | 'rtval' | 'unmaterialized'
         self.expr = expr
         self.const = const
-        # spawn-time value expression, preserved across TD
-        # materialization so O2 can still compute with the value
+        # Tcl value expression: set for 'rtval', kept across TD
+        # materialization, and set on a 'td' once a wait retrieved it
         self.value_expr: str | None = expr if kind == "rtval" else None
+
+    def set_value(self, text: str) -> None:
+        self.kind = "rtval"
+        self.expr = self.value_expr = text
+
+    def copy(self) -> "Slot":
+        slot = Slot(self.swift_name, self.type, self.kind, self.expr, self.const)
+        slot.value_expr = self.value_expr
+        return slot
 
 
 # ---------------------------------------------------------------- builders
@@ -195,14 +295,19 @@ class Scope:
         proc: ProcBuilder,
         parent: "Scope | None" = None,
         boundary: bool = False,
+        branch: bool = False,
     ):
         self.gen = gen
         self.proc = proc
         self.parent = parent
         self.boundary = boundary
+        # one arm of an if: materializing an outer constant or value here
+        # must not leak into the other arm, so such slots are copied in
+        self.branch = branch
         self.slots: dict[str, Slot] = {}
-        # capture order matters: it becomes the proc's trailing params
-        self.captures: list[tuple[str, str]] = []  # (swift name, param name)
+        # capture order matters: it becomes the proc's trailing params;
+        # each passes the outer slot's TD id ('expr') or value ('value')
+        self.captures: list[tuple[str, str]] = []  # (swift name, what)
 
     def declare(self, name: str, slot: Slot) -> Slot:
         self.slots[name] = slot
@@ -215,6 +320,8 @@ class Scope:
             raise SwiftTypeError("codegen: unresolved variable %r" % name)
         outer = self.parent.resolve(name)
         if not self.boundary:
+            if self.branch and outer.kind in ("const", "rtval"):
+                return self.declare(name, outer.copy())
             return outer
         # crossing a proc boundary: constants copy, TDs/values become params
         if outer.kind == "const":
@@ -223,20 +330,29 @@ class Scope:
         if outer.kind == "unmaterialized":
             # materialize in the outer proc so the id can be captured
             self.gen.ensure_td_slot(self.parent, outer)
-        param = self.proc.param_name(name)
-        self.proc.params.append(param)
-        self.captures.append((name, param))
-        slot = Slot(name, outer.type, outer.kind if outer.kind != "unmaterialized" else "td", expr="$" + param)
+        if outer.kind == "rtval":
+            slot = Slot(name, outer.type, "rtval", expr=self._param(name, "value"))
+        else:
+            slot = Slot(name, outer.type, "td", expr=self._param(name, "expr"))
+            if outer.value_expr is not None and self.gen.split:
+                # a retrieved future: pass its value alongside its id
+                slot.value_expr = self._param(name, "value")
         return self.declare(name, slot)
+
+    def _param(self, name: str, what: str) -> str:
+        param = self.proc.param_name(name.lstrip("%"))
+        self.proc.params.append(param)
+        self.captures.append((name, what))
+        return "$" + param
 
     def capture_args(self, call_scope: "Scope") -> list[str]:
         """Arguments the parent passes for this boundary scope's captures."""
         args = []
-        for name, _param in self.captures:
+        for name, what in self.captures:
             outer = call_scope.resolve(name)
             if outer.kind == "unmaterialized":
                 self.gen.ensure_td_slot(call_scope, outer)
-            args.append(outer.expr)
+            args.append(outer.value_expr if what == "value" else outer.expr)
         return args
 
 
@@ -264,9 +380,15 @@ class Codegen:
         self.program = program
         self.funcs = funcs
         self.opt = opt
+        self.split = opt >= 1
         self.procs: list[ProcBuilder] = []
         self._hoist = itertools.count(1)
         self.packages: set[str] = set()
+        # id(expr node) -> scope name of the TD an impure subexpression
+        # of a pure operator group was compiled into (a future leaf)
+        self._leaf_names: dict[int, str] = {}
+        self._leaf = itertools.count(1)
+        self._tail_depth = 0  # tail waits enclosing the code being emitted
 
     # -- entry ---------------------------------------------------------------
 
@@ -365,16 +487,282 @@ class Codegen:
 
     # -- blocks & statements --------------------------------------------------
 
-    def compile_block(self, block: Block, scope: Scope) -> None:
-        # Pre-scan: arrays declared in this block and their writer counts.
+    def compile_block(
+        self, block: Block, scope: Scope, start: int = 0, tails: list[bool] | None = None
+    ) -> None:
+        """Compile ``block.stmts[start:]``, releasing the declaration slot
+        of every array declared among them at the end.
+
+        Under the split a statement whose value positions wait on futures
+        gets a wait: a tail wait (see :meth:`tail_heads`) whose
+        continuation takes the rest of the block, else a wait covering
+        just that ``if`` or ``printf``/``trace``; a declaration or
+        assignment that gets no tail stores its TD from its own wait
+        (see :meth:`pure_val`).  One that can fail gets its own
+        continuation even without futures, so that a failure loses only
+        what it loses at ``-O0``.
+        """
+        stmts = block.stmts
         declared_arrays: list[str] = []
-        for stmt in block.stmts:
+        for k in range(start, len(stmts)):
+            stmt = stmts[k]
+            futures = self.stmt_futures(stmt, scope) if self.split else None
+            if futures and tails is None:
+                tails = self.tail_heads(stmts)
+            if futures and tails[k] and self._tail_depth < MAX_TAIL_DEPTH:
+                self._tail_depth += 1
+                self.emit_wait(
+                    scope, futures, lambda s: self.compile_block(block, s, k, tails)
+                )
+                self._tail_depth -= 1
+                break
+            if isinstance(stmt, (If, ExprStmt)) and futures is not None and (
+                futures or any(can_raise(e) for e in self.value_positions(stmt))
+            ):
+                self.emit_wait(scope, futures, lambda s: self.compile_stmt(stmt, s, block))
+                continue
             self.compile_stmt(stmt, scope, block)
             if isinstance(stmt, Decl) and stmt.swift_type.is_array:
                 declared_arrays.append(stmt.name)
         for name in declared_arrays:
             slot = scope.resolve(name)
             scope.proc.emit("turbine::write_refcount_decr %s 1" % slot.expr)
+
+    # -- the value/future split ---------------------------------------------------
+
+    def value_positions(self, stmt: Stmt) -> list[Expr] | None:
+        """Expressions of stmt that the split computes as Tcl values."""
+        if isinstance(stmt, Decl):
+            if stmt.init is not None and not stmt.swift_type.is_array and is_pure_op(stmt.init):
+                return [stmt.init]
+        elif isinstance(stmt, Assign):
+            if (
+                len(stmt.targets) == 1
+                and stmt.targets[0].index is None
+                and is_pure_op(stmt.exprs[0])
+            ):
+                return [stmt.exprs[0]]
+        elif isinstance(stmt, If):
+            return [stmt.cond]
+        elif isinstance(stmt, ExprStmt) and stmt.expr.func in ("printf", "trace"):
+            args = stmt.expr.args[1:] if stmt.expr.func == "printf" else stmt.expr.args
+            if value_args(args):
+                return args
+        return None
+
+    def tail_heads(self, stmts: list[Stmt]) -> list[bool]:
+        """For each k, whether a wait at ``stmts[k]`` may take ``stmts[k:]``.
+
+        It may when ``stmts[k]`` sets a scalar from operators that cannot
+        fail and every later statement either declares without effect or
+        computes, from operators only, on a value set at or after k.  At
+        ``-O0`` such a statement cannot run before the wait's futures
+        either, so the wait defers nothing ``-O0`` would run and holds
+        back no future that statement produces, and a poisoned future
+        stops only what it stops at ``-O0``.
+
+        Linear: a forward pass finds, for each statement, the latest
+        earlier statement setting something it reads; a backward pass
+        keeps the minimum of those over the suffix.
+        """
+        n = len(stmts)
+        last: dict[str, int] = {}
+        joins = [-1] * n  # the latest head whose region stmts[j] can join
+        for j, stmt in enumerate(stmts):
+            if isinstance(stmt, Decl) and (stmt.init is None or isinstance(stmt.init, Literal)):
+                joins[j] = n
+            else:
+                exprs = self.value_positions(stmt)
+                reads = [pure_reads(e) for e in exprs or ()]
+                if exprs and None not in reads:
+                    joins[j] = max((last.get(v, -1) for r in reads for v in r), default=-1)
+            for name in defined_names(stmt):
+                last[name] = j
+        ok = [False] * n
+        reach = n
+        for k in range(n - 1, -1, -1):
+            stmt = stmts[k]
+            if isinstance(stmt, (Decl, Assign)) and reach >= k:
+                exprs = self.value_positions(stmt)
+                ok[k] = exprs is not None and not can_raise(exprs[0])
+            reach = min(reach, joins[k])
+        return ok
+
+    def stmt_futures(self, stmt: Stmt, scope: Scope) -> list[str] | None:
+        """Futures a statement's value positions wait on (None: it has none).
+
+        Impure subexpressions (calls, subscripts) are compiled here, each
+        into a TD that becomes one more future leaf.
+        """
+        exprs = self.value_positions(stmt)
+        if exprs is None:
+            return None
+        futures: list[str] = []
+        for e in exprs:
+            self._leaves(e, scope, futures)
+        return list(dict.fromkeys(futures))
+
+    def _leaves(self, e: Expr, scope: Scope, futures: list[str]) -> None:
+        name = self._leaf_names.get(id(e))
+        if isinstance(e, VarRef) or name is not None:
+            slot = scope.resolve(name or e.name)
+            if slot.kind == "unmaterialized":
+                self.ensure_td_slot(scope, slot)
+            if slot.kind == "td" and slot.value_expr is None:
+                futures.append(name or e.name)
+            return
+        if isinstance(e, Literal):
+            return
+        if isinstance(e, UnOp) and is_pure_op(e):
+            self._leaves(e.operand, scope, futures)
+            return
+        if isinstance(e, BinOp) and is_pure_op(e):
+            self._leaves(e.left, scope, futures)
+            self._leaves(e.right, scope, futures)
+            return
+        # an impure leaf: compile it to a TD under a scope name no Swift
+        # identifier can take, so waits capture it like a variable
+        val = self.compile_expr(e, scope)
+        name = "%%t%d" % next(self._leaf)
+        scope.declare(name, Slot(name, e.type, "td", expr=self.ensure_td(scope, val)))
+        self._leaf_names[id(e)] = name
+        futures.append(name)
+
+    def emit_wait(self, scope: Scope, futures: list[str], body) -> None:
+        """One rule on ``futures``; its continuation proc retrieves each
+        once and runs ``body(scope)`` with them as values."""
+        proc = self.new_proc("wait", [])
+        child = Scope(self, proc, scope, boundary=True)
+        deps = []
+        for name in futures:
+            deps.append(scope.resolve(name).expr)
+            slot = child.resolve(name)
+            local = proc.local_name(name.lstrip("%"))
+            proc.emit("set %s [ turbine::retrieve %s ]" % (local, slot.expr))
+            slot.value_expr = "$" + local
+        body(Scope(self, proc, child))
+        scope.proc.emit(
+            "turbine::rule [ list%s ] [ list %s ] LOCAL"
+            % ("".join(" " + d for d in deps), " ".join([proc.name, *child.capture_args(scope)]))
+        )
+
+    def value_of(self, slot: Slot) -> str:
+        if slot.kind == "const":
+            return quote_const(slot.const, slot.type)
+        if slot.value_expr is None:
+            raise SwiftTypeError("codegen: %r has no value here" % slot.swift_name)
+        return slot.value_expr
+
+    def vtext(self, e: Expr, scope: Scope) -> str:
+        """Tcl ``expr`` text of a pure operator group whose leaves are all
+        values.  Each operator matches its ``turbine::*_body`` proc in
+        ``turbine/tcllib.py``, so results and errors are the -O0 ones."""
+        name = self._leaf_names.get(id(e))
+        if name is not None:
+            return self.value_of(scope.resolve(name))
+        if isinstance(e, Literal):
+            return quote_const(e.value, e.type)
+        if isinstance(e, VarRef):
+            return self.value_of(scope.resolve(e.name))
+        if isinstance(e, UnOp):
+            a = self._operand(e.operand, scope)
+            if e.op == "!":
+                return "! %s" % a
+            if e.operand.type == FLOAT:
+                return "- double(%s)" % a
+            return "- %s" % a
+        op = e.op
+        lt = e.left.type
+        if lt == STRING:
+            # binop_compare_body: expr "{$x} oper {$y}"
+            a, b = self._str_var(e.left, scope), self._str_var(e.right, scope)
+            str_op = {"==": "eq", "!=": "ne"}.get(op, op)
+            return self._to_temp(scope, '[ expr "{%s} %s {%s}" ]' % (a, str_op, b))
+        a, b = self._operand(e.left, scope), self._operand(e.right, scope)
+        if op in ("&&", "||"):
+            # both operands are evaluated, as the binop_logic rule does
+            a, b = self._to_temp(scope, a), self._to_temp(scope, b)
+        elif e.type == FLOAT:
+            return "double(%s) %s double(%s)" % (a, op, b)
+        elif op == "**":
+            # store_integer truncates a fractional power to an integer
+            return "int(%s ** %s)" % (a, b)
+        return "%s %s %s" % (a, op, b)
+
+    def _operand(self, e: Expr, scope: Scope) -> str:
+        text = self.vtext(e, scope)
+        return text if _simple(text) else "( %s )" % text
+
+    def _to_temp(self, scope: Scope, text: str) -> str:
+        """Evaluate text into a temp now; returns the temp's reference."""
+        if _simple(text):
+            return text
+        tmp = scope.proc.temp()
+        if not text.startswith("["):
+            text = "[ expr { %s } ]" % text
+        scope.proc.emit("set %s %s" % (tmp, text))
+        return "$" + tmp
+
+    def _str_var(self, e: Expr, scope: Scope) -> str:
+        """A ``$var`` holding a string operand's value."""
+        text = self.vtext(e, scope)  # a $reference or a quoted constant
+        if _simple(text) and text.startswith("$"):
+            return text
+        tmp = scope.proc.temp()
+        scope.proc.emit("set %s %s" % (tmp, text))
+        return "$" + tmp
+
+    def vword(self, e: Expr, scope: Scope) -> str:
+        """A Tcl word evaluating to the value of e (all leaves values)."""
+        text = self.vtext(e, scope)
+        if isinstance(e, (Literal, VarRef)) or id(e) in self._leaf_names:
+            return text  # a $reference, or quote_const of a constant
+        return "[ expr { %s } ]" % text
+
+    def pure_val(self, expr: Expr, scope: Scope, dst: str | None = None) -> CgVal:
+        """A pure operator group as a folded constant or a Tcl value; or,
+        when it waits on futures or can fail, as a TD (``dst`` if given)
+        stored by its own wait continuation."""
+        folded = self.try_fold(expr, scope)
+        if folded is not None:
+            return folded
+        futures: list[str] = []
+        self._leaves(expr, scope, futures)
+        if not futures and not can_raise(expr):
+            return CgVal(expr.type, "rtval", expr=self._to_temp(scope, self.vtext(expr, scope)))
+        out = dst or self.alloc(scope.proc, expr.type)
+        name = "%%t%d" % next(self._leaf)
+        scope.declare(name, Slot(name, expr.type, "td", expr=out))
+
+        def body(s: Scope) -> None:
+            s.proc.emit(
+                "%s %s %s"
+                % (STORE_CMD[expr.type.base], s.resolve(name).expr, self.vword(expr, s))
+            )
+
+        self.emit_wait(scope, list(dict.fromkeys(futures)), body)
+        return CgVal(expr.type, "td", expr=out)
+
+    def pure_into(self, expr: Expr, dst_td: str, scope: Scope) -> None:
+        """Store a pure operator group's value into an existing TD."""
+        val = self.pure_val(expr, scope, dst_td)
+        if val.kind != "td":
+            scope.proc.emit(
+                "%s %s %s" % (STORE_CMD[expr.type.base], dst_td, self.spawn_value(val))
+            )
+
+    def _materialize_pending(self, scope: Scope) -> None:
+        """Give every not-yet-materialized variable of this proc its TD
+        now, before an inline ``if``, so neither arm allocates one the
+        other arm (or the code after the ``if``) cannot see."""
+        s: Scope | None = scope
+        while s is not None:
+            for slot in s.slots.values():
+                if slot.kind == "unmaterialized":
+                    self.ensure_td_slot(s, slot)
+            if s.boundary:
+                break
+            s = s.parent
 
     def rebalance(self, proc: ProcBuilder, td_expr: str, delta: int, depth: int = 1) -> None:
         if delta > 0:
@@ -444,15 +832,19 @@ class Codegen:
         target: str | None = None,
     ) -> None:
         """Compile ``slot = expr`` for a scalar slot."""
-        if (
-            self.opt >= 2
-            and isinstance(expr, Literal)
-            and slot.kind == "unmaterialized"
-        ):
+        if self.split and isinstance(expr, Literal) and slot.kind == "unmaterialized":
             slot.kind = "const"
             slot.const = expr.value
             return
         if isinstance(expr, (BinOp, UnOp)):
+            if self.split and is_pure_op(expr):
+                dst = None if slot.kind == "unmaterialized" else self.ensure_td_slot(scope, slot)
+                val = self.pure_val(expr, scope, dst)
+                if val.kind == "td":
+                    slot.kind, slot.expr = "td", val.expr
+                else:
+                    self._store_val(slot, val, scope)
+                return
             folded = self.try_fold(expr, scope)
             if folded is not None:
                 self._store_val(slot, folded, scope)
@@ -475,10 +867,14 @@ class Codegen:
         self._store_val(slot, val, scope)
 
     def _store_val(self, slot: Slot, val: CgVal, scope: Scope) -> None:
-        if val.kind == "const" and self.opt >= 2 and slot.kind == "unmaterialized":
-            slot.kind = "const"
-            slot.const = val.const
-            return
+        if self.split and slot.kind == "unmaterialized":
+            if val.kind == "const":
+                slot.kind = "const"
+                slot.const = val.const
+                return
+            if val.kind == "rtval":
+                slot.set_value(val.expr)
+                return
         dst = self.ensure_td_slot(scope, slot)
         if val.kind == "td":
             scope.proc.emit("turbine::copy_td %s %s" % (dst, val.expr))
@@ -580,36 +976,52 @@ class Codegen:
     # -- control flow ----------------------------------------------------------
 
     def compile_if(self, stmt: If, scope: Scope) -> None:
-        cond = self.compile_expr(stmt.cond, scope)
-        if cond.kind == "const" and self.opt >= 1:
-            branch = stmt.then if cond.const else stmt.els
-            if branch is not None:
-                self.compile_block(branch, Scope(self, scope.proc, scope))
+        if self.split:
+            cond = self.compile_expr_const(stmt.cond, scope)
+            arrays = {name: scope.resolve(name).expr for name in sorted(writes_arrays(stmt))}
+            if cond is not None:
+                # only the taken arm: it still releases the if's slots
+                self._emit_arm(stmt.then if cond.const else stmt.els, scope, arrays, 1)
+                return
+            # compile_block waited for the condition's futures
+            self._materialize_pending(scope)
+            self._emit_if(stmt, self.vtext(stmt.cond, scope), scope, arrays)
             return
+        cond = self.compile_expr(stmt.cond, scope)
         written = sorted(writes_arrays(stmt))
         cond_td = self.ensure_td(scope, cond)
         proc = self.new_proc("if", ["c"])
         child = Scope(self, proc, scope, boundary=True)
         # resolve written arrays up-front so they become captures
-        arr_slots = {name: child.resolve(name) for name in written}
-        proc.emit("if { [ turbine::retrieve $c ] } {", 1)
-        then_scope = Scope(self, proc, child)
-        for name in written:
-            self.rebalance(proc, arr_slots[name].expr, writer_count(stmt.then, name) - 1, 2)
-        self._compile_block_at(stmt.then, then_scope, 2)
-        proc.emit("} else {", 1)
-        else_scope = Scope(self, proc, child)
-        for name in written:
-            w = writer_count(stmt.els, name) if stmt.els is not None else 0
-            self.rebalance(proc, arr_slots[name].expr, w - 1, 2)
-        if stmt.els is not None:
-            self._compile_block_at(stmt.els, else_scope, 2)
-        proc.emit("}", 1)
+        arrays = {name: child.resolve(name).expr for name in written}
+        self._emit_if(stmt, "[ turbine::retrieve $c ]", child, arrays)
         args = " ".join([cond_td, *child.capture_args(scope)])
         scope.proc.emit(
             "turbine::rule [ list %s ] [ list %s %s ] LOCAL"
             % (cond_td, proc.name, args)
         )
+
+    def _emit_if(self, stmt: If, cond: str, scope: Scope, arrays: dict[str, str]) -> None:
+        """A Tcl ``if`` in scope's proc; each arm first rebalances the
+        if's one slot to its own writer count of every array written."""
+        proc = scope.proc
+        proc.emit("if { %s } {" % cond)
+        self._emit_arm(stmt.then, scope, arrays)
+        else_line = len(proc.lines)
+        proc.emit("} else {")
+        self._emit_arm(stmt.els, scope, arrays)
+        if self.split and len(proc.lines) == else_line + 1:
+            proc.lines.pop()  # empty else arm
+        proc.emit("}")
+
+    def _emit_arm(
+        self, arm: Block | None, scope: Scope, arrays: dict[str, str], depth: int = 2
+    ) -> None:
+        for name, td in arrays.items():
+            w = writer_count(arm, name) if arm is not None else 0
+            self.rebalance(scope.proc, td, w - 1, depth)
+        if arm is not None:
+            self._compile_block_at(arm, Scope(self, scope.proc, scope, branch=True), depth)
 
     def _compile_block_at(self, block: Block, scope: Scope, depth: int) -> None:
         """Compile a block whose lines are emitted at a given indent."""
@@ -795,13 +1207,11 @@ class Codegen:
             td = self.ensure_td_slot(scope, slot)
             return CgVal(slot.type, "td", expr=td, slot=slot)
         if isinstance(expr, (BinOp, UnOp)):
+            if self.split and is_pure_op(expr):
+                return self.pure_val(expr, scope)
             folded = self.try_fold(expr, scope)
             if folded is not None:
                 return folded
-            if self.opt >= 2:
-                rt = self.try_rtval(expr, scope)
-                if rt is not None:
-                    return rt
             out = self.alloc(scope.proc, expr.type)
             self.emit_operator(expr, out, scope)
             return CgVal(expr.type, "td", expr=out)
@@ -816,48 +1226,12 @@ class Codegen:
             return CgVal(expr.type, "td", expr=out)
         raise SwiftTypeError("codegen: cannot compile expression %r" % expr)
 
-    def try_rtval(self, expr: Expr, scope: Scope) -> CgVal | None:
-        """Spawn-time arithmetic over known values (opt >= 2)."""
-        text = self._rtval_text(expr, scope)
-        if text is None:
-            return None
-        tmp = scope.proc.temp()
-        scope.proc.emit("set %s [ expr { %s } ]" % (tmp, text))
-        return CgVal(expr.type, "rtval", expr="$" + tmp)
-
-    def _rtval_text(self, expr: Expr, scope: Scope) -> str | None:
-        if isinstance(expr, Literal):
-            if expr.type == STRING:
-                return None
-            return quote_const(expr.value, expr.type)
-        if isinstance(expr, VarRef):
-            slot = scope.resolve(expr.name)
-            if slot.kind == "const" and slot.type != STRING:
-                return quote_const(slot.const, slot.type)
-            if slot.kind == "rtval":
-                return slot.expr
-            if slot.kind == "td" and slot.value_expr is not None:
-                return slot.value_expr
-            return None
-        if isinstance(expr, UnOp):
-            inner = self._rtval_text(expr.operand, scope)
-            if inner is None:
-                return None
-            op = "!" if expr.op == "!" else "-"
-            return "%s ( %s )" % (op, inner)
-        if isinstance(expr, BinOp):
-            if expr.type == STRING or expr.op in ("==", "!=") and expr.left.type == STRING:
-                return None
-            a = self._rtval_text(expr.left, scope)
-            b = self._rtval_text(expr.right, scope)
-            if a is None or b is None:
-                return None
-            return "( %s ) %s ( %s )" % (a, expr.op, b)
-        return None
-
     def compile_expr_into(self, expr: Expr, dst_td: str, t: SwiftType, scope: Scope) -> None:
         """Compile an expression, writing its value into an existing TD."""
         if isinstance(expr, (BinOp, UnOp)):
+            if self.split and is_pure_op(expr):
+                self.pure_into(expr, dst_td, scope)
+                return
             folded = self.try_fold(expr, scope)
             if folded is not None:
                 scope.proc.emit(
@@ -865,13 +1239,6 @@ class Codegen:
                     % (STORE_CMD[t.base], dst_td, quote_const(folded.const, t))
                 )
                 return
-            if self.opt >= 2:
-                rt = self.try_rtval(expr, scope)
-                if rt is not None:
-                    scope.proc.emit(
-                        "%s %s %s" % (STORE_CMD[t.base], dst_td, rt.expr)
-                    )
-                    return
             self.emit_operator(expr, dst_td, scope)
             return
         if isinstance(expr, Call):
@@ -993,16 +1360,32 @@ class Codegen:
             return [self.ensure_td(scope, self.compile_expr(e, scope)) for e in exprs]
 
         if name == "printf":
-            fmt = self.compile_expr_const(args[0], scope)
-            if fmt is None or not isinstance(fmt.const, str):
-                raise SwiftTypeError("printf format must be a string literal", args[0].line)
-            fmt_text = fmt.const.replace("%i", "%d")
+            fmt = args[0]
+            if not isinstance(fmt, Literal) or not isinstance(fmt.value, str):
+                raise SwiftTypeError("printf format must be a string literal", fmt.line)
+            fmt_text = fmt.value.replace("%i", "%d")
+            if self.split and value_args(args[1:]):
+                # compile_block waited for the arguments' futures
+                words = [self.vword(a, scope) for a in args[1:]]
+                proc.emit(
+                    "turbine::log_output [ format %s ]"
+                    % " ".join([format_element(fmt_text), *words])
+                )
+                return
             proc.emit(
                 "turbine::printf_rule %s %s"
                 % (format_element(fmt_text), " ".join(tds(args[1:])))
             )
             return
         if name == "trace":
+            if self.split and value_args(args):
+                words = [self.vword(a, scope) for a in args]
+                proc.emit(
+                    'turbine::log_output "trace: [ join [ list %s ] , ]"' % " ".join(words)
+                    if words
+                    else "turbine::log_output trace:"
+                )
+                return
             proc.emit("turbine::trace_rule %s" % " ".join(tds(args)))
             return
         if name == "assert":
@@ -1015,10 +1398,10 @@ class Codegen:
             )
             return
         if name == "sprintf":
-            fmt = self.compile_expr_const(args[0], scope)
-            if fmt is None or not isinstance(fmt.const, str):
-                raise SwiftTypeError("sprintf format must be a string literal", args[0].line)
-            fmt_text = fmt.const.replace("%i", "%d")
+            fmt = args[0]
+            if not isinstance(fmt, Literal) or not isinstance(fmt.value, str):
+                raise SwiftTypeError("sprintf format must be a string literal", fmt.line)
+            fmt_text = fmt.value.replace("%i", "%d")
             proc.emit(
                 "turbine::sprintf_rule %s %s %s"
                 % (out_tds[0], format_element(fmt_text), " ".join(tds(args[1:])))

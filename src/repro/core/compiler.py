@@ -28,9 +28,14 @@ def compile_swift(
 ) -> CompiledProgram | tuple[CompiledProgram, CompileStats]:
     """Compile Swift source text at the given optimization level.
 
-    Levels: 0 = straight translation; 1 = constant folding and
-    compile-time branch elimination; 2 = additionally scalar constant
-    propagation and spawn-time value arithmetic.
+    Levels: 0 = straight translation (every scalar a TD, every operator
+    a dataflow rule), kept as the reference the others are tested
+    against; 1 (the default) = constant folding, compile-time branch
+    elimination and the value/future split: scalars produced and used
+    inside one task stay Tcl values computed with ``expr``, a group of
+    operators waits on its future leaves with one rule, and ``if`` and
+    ``printf``/``trace`` on values run directly (see
+    :mod:`repro.core.codegen`); 2 = currently the same code as 1.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records per-phase spans in
     the ``compile`` category.

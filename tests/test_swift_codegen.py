@@ -46,9 +46,17 @@ class TestStructure:
         assert "turbine::spawn CONTROL" in text
 
     def test_if_hoisted_with_rule(self):
-        text = gen("int c = parseint(\"1\"); if (c == 1) { trace(1); } else { trace(2); }")
+        src = "int c = parseint(\"1\"); if (c == 1) { trace(1); } else { trace(2); }"
+        text = gen(src, opt=0)
         assert "proc swift:__if" in text
         assert "turbine::retrieve $c" in text
+        # the split: one rule waiting on c, then a plain Tcl if on its value
+        text = gen(src)
+        assert "proc swift:__if" not in text
+        assert "binop_" not in text
+        assert text.split("proc swift:main")[1].count("turbine::rule ") == 1
+        assert "turbine::rule [ list $v_c ] [ list swift:__wait1 $v_c ] LOCAL" in text
+        assert "if { $v_c == 1 } {" in text
 
     def test_wait_rule(self):
         text = gen("int x = parseint(\"5\"); wait (x) { trace(x); }")
@@ -114,7 +122,9 @@ class TestOptimization:
     def test_o1_folds_constants(self):
         text = gen("int x = 1 + 2; trace(x);", opt=1)
         assert "binop_integer" not in text
-        assert "store_integer" in text
+        # the folded constant is a literal operand: no TD, no rule
+        assert "turbine::allocate" not in text.split("proc swift:main")[1]
+        assert 'turbine::log_output "trace: [ join [ list 3 ] , ]"' in text
 
     def test_o1_eliminates_constant_branch(self):
         text = gen("if (1 < 2) { trace(1); } else { trace(2); }", opt=1)
@@ -125,16 +135,24 @@ class TestOptimization:
         assert "swift:__if" in text
 
     def test_o2_propagates_scalar_constants(self):
-        o1 = gen("int x = 5; int y = x + 1; trace(y);", opt=1)
-        o2 = gen("int x = 5; int y = x + 1; trace(y);", opt=2)
-        assert "binop_integer" in o1
-        assert "binop_integer" not in o2
+        o0 = gen("int x = 5; int y = x + 1; trace(y);", opt=0)
+        assert "binop_integer" in o0
+        for opt in (1, 2):
+            text = gen("int x = 5; int y = x + 1; trace(y);", opt=opt)
+            assert "binop_integer" not in text
+            assert "turbine::rule" not in text.split("proc swift:main")[1]
+            assert "[ list 6 ]" in text
 
     def test_o2_spawn_time_arithmetic_in_loops(self):
-        o1 = gen("int a[]; foreach i in [0:3] { a[i+1] = i; }", opt=1)
-        o2 = gen("int a[]; foreach i in [0:3] { a[i+1] = i; }", opt=2)
-        # O2 computes the subscript at spawn time instead of a dataflow rule
-        assert o2.count("binop_integer") < o1.count("binop_integer")
+        src = "int a[]; foreach i in [0:3] { a[i+1] = i; }"
+        assert gen(src, opt=0).count("binop_integer") == 1
+        for opt in (1, 2):
+            text = gen(src, opt=opt)
+            # the subscript is computed in the body, not by a dataflow rule
+            assert "binop_integer" not in text
+            assert "insert_when_ready" not in text
+            assert "set t2 [ expr { $idx + 1 } ]" in text
+            assert "turbine::container_insert $c_a $t2 $t1 1" in text
 
     def test_opt_levels_preserve_structure(self):
         src = "(int o) f(int x) { o = x * 2; } trace(f(4));"

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import swift_run
-from repro.core import compile_swift
 
 # --- random expression ASTs over declared int variables ------------------
 
@@ -106,10 +105,7 @@ def test_property_random_expressions_agree_across_opt_levels(tree):
         "int result = %s;\n"
         'printf("R=%%i", result);\n' % to_swift(tree)
     )
-    # compile at every level first (cheap), then run the extremes
     for opt in (0, 1, 2):
-        compile_swift(src, opt=opt)
-    for opt in (0, 2):
         out = swift_run(src, workers=2, opt=opt)
         assert out.stdout_lines == ["R=%d" % expected], (
             to_swift(tree),
