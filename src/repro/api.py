@@ -15,11 +15,11 @@ Quickstart::
 Every runtime knob lives on :class:`RuntimeConfig`; ``swift_run`` and
 :class:`SwiftRuntime` accept a ``config=`` plus keyword overrides that
 are validated by :meth:`RuntimeConfig.with_options` (unknown names
-raise ``TypeError``).  Notable hot-path knobs: ``tcl_compile`` (the
-compile-and-cache Tcl layer) and ``tcl_exec`` (``"vm"`` — the default
-bytecode VM — or ``"ast"`` for compiled-AST interpretation, e.g.
-``swift_run(src, tcl_exec="ast")``).  For repeated runs, use the session form — one
-compiled-program cache and one trace sink across runs::
+raise ``TypeError``).  Notable hot-path knob: ``tcl_compile`` (``True``
+— the default bytecode VM — or ``False`` for the interpreted walk the VM
+is tested against, e.g. ``swift_run(src, tcl_compile=False)``).  For
+repeated runs, use the session form — one compiled-program cache and
+one trace sink across runs::
 
     from repro import RuntimeConfig, SwiftRuntime
 

@@ -4,9 +4,9 @@ A :class:`Code` object is the unit of execution: a flat ``ops`` array of
 ``(opcode, arg)`` pairs (stored interleaved, so the dispatch loop reads
 ``ops[pc]``/``ops[pc + 1]`` and advances ``pc`` by 2), a constant pool,
 and a list of mutable inline-cache slots.  Code objects are owned by a
-single interpreter — the embedded command caches follow the interp's
-``cmd_epoch`` invalidation protocol, exactly like the AST layer's
-:class:`~repro.tcl.interp.CompiledCommand` pointer caches.
+single interpreter: the embedded command caches are tagged with the
+interp's ``cmd_epoch`` and current namespace, and re-resolve when
+either changes (``proc`` redefinition, ``rename``, ``register``).
 
 The compiler (:mod:`repro.tcl.compile`) lowers parsed ``Command`` /
 ``Word`` / expr ASTs into this form; the VM (:mod:`repro.tcl.vm`) runs
@@ -36,9 +36,10 @@ OP_INCR_SLOT = 10   # consts[arg]=(slot, name, delta, line, text)
 OP_CONCAT = 11      # join top arg values into one string
 OP_CALL = 12        # caches[arg]; argv of caches[arg][0] words on stack
 OP_CALL_LIT = 13    # caches[arg]; literal argv, nothing on stack
-OP_EXEC = 14        # run consts[arg] (a CompiledCommand) via the AST path
+OP_EXPAND = 14      # consts[arg]=(argc, expand flags): apply {*} to the
+                    # top argc words; the next op is the CALL they feed
 OP_GUARD = 15       # caches[arg]; epoch-check an inlined builtin, else
-                    # jump to the AST fallback block
+                    # jump to the generic-CALL fallback block
 OP_JUMP = 16        # pc = arg
 OP_JUMP_IF_FALSE = 17  # pop; truthy() false -> pc = arg
 OP_JUMP_IF_TRUE = 18   # pop; truthy() true -> pc = arg
@@ -63,6 +64,10 @@ OP_UNARY = 35       # consts[arg] is the operator string (!, ~, -, +)
 OP_EVAL_NODE = 36   # push expr.eval_node(interp, consts[arg])
 OP_COERCE = 37      # pop v; push expr.coerce(v)  (inline [cmd] in expr)
 OP_TO_STR = 38      # pop v; push expr.to_string(v)
+OP_FOREACH_INIT = 39   # consts[arg]=(break_pc, next_pc, var targets); pop
+                       # the list, push a loop block holding its iterator
+OP_FOREACH_NEXT = 40   # bind the next values, or pc = arg when exhausted
+OP_PREFIX = 41      # insert the words of consts[arg] below the top value
 
 NAMES = {
     OP_CONST: "CONST",
@@ -78,7 +83,7 @@ NAMES = {
     OP_CONCAT: "CONCAT",
     OP_CALL: "CALL",
     OP_CALL_LIT: "CALL_LIT",
-    OP_EXEC: "EXEC",
+    OP_EXPAND: "EXPAND",
     OP_GUARD: "GUARD",
     OP_JUMP: "JUMP",
     OP_JUMP_IF_FALSE: "JUMP_IF_FALSE",
@@ -103,9 +108,12 @@ NAMES = {
     OP_EVAL_NODE: "EVAL_NODE",
     OP_COERCE: "COERCE",
     OP_TO_STR: "TO_STR",
+    OP_FOREACH_INIT: "FOREACH_INIT",
+    OP_FOREACH_NEXT: "FOREACH_NEXT",
+    OP_PREFIX: "PREFIX",
 }
 
-_JUMPS = {OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE}
+_JUMPS = {OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE, OP_FOREACH_NEXT}
 
 
 @dataclass
@@ -124,14 +132,16 @@ class Code:
     """One compiled script or proc body.
 
     * ``ops`` — interleaved (opcode, arg) pairs.
-    * ``consts`` — constant pool (strings, tuples, expr nodes,
-      CompiledCommand fallbacks, proc prototypes).
+    * ``consts`` — constant pool (strings, tuples, expr nodes, proc
+      prototypes).
     * ``caches`` — mutable inline-cache entries for CALL/CALL_LIT/GUARD.
     * ``slot_names`` — local-variable slot table (proc bodies; empty for
       script-context code, which uses the NAME ops against the current
       frame's dict).
     * ``regions`` — ``(start_pc, end_pc, text, line)`` error-decoration
-      spans for inlined control commands, innermost first.
+      spans for inlined control commands, innermost first.  An inlined
+      ``foreach`` stores ``(varlist, body)`` as ``text``: its list word
+      is only known at run time (the VM reads it off the loop block).
     * ``lines`` — ``(pc, line)`` provenance pairs, ascending.
     * ``proto`` — for proc bodies, the arg-count-checked prototype
       ``(name, params, n_params, simple)`` used by the VM's binding
@@ -220,11 +230,6 @@ class Code:
             return "%d (%s, line %d)" % (arg, _trunc(" ".join(c[0])), c[2])
         if op == OP_LOAD_SLOT or op == OP_ELOAD_SLOT:
             return "%d (%s)" % (arg, self.slot_names[arg])
-        if op == OP_EXEC:
-            cc = self.consts[arg]
-            argv = getattr(cc, "argv", None)
-            what = " ".join(argv) if argv else "<dynamic>"
-            return "%d (%s)" % (arg, _trunc(what))
         if op in (OP_CONCAT,):
             return "%d" % arg
         if op in (OP_POP, OP_POP_BLOCK, OP_BREAK, OP_CONTINUE,
@@ -234,7 +239,8 @@ class Code:
             return ""
         if op in (OP_CONST, OP_LOAD_NAME, OP_ELOAD_NAME, OP_SET_NAME,
                   OP_SET_SLOT, OP_INCR_NAME, OP_INCR_SLOT, OP_BIN,
-                  OP_UNARY, OP_EVAL_NODE, OP_PUSH_BLOCK):
+                  OP_UNARY, OP_EVAL_NODE, OP_PUSH_BLOCK, OP_EXPAND,
+                  OP_FOREACH_INIT, OP_PREFIX):
             return "%d (%s)" % (arg, _trunc(repr(self.consts[arg])))
         return "%d" % arg
 

@@ -10,24 +10,32 @@ flat bytecode:
   (top-level ``eval`` bodies) stays frame-agnostic and uses the
   ``*_NAME`` ops.
 * **Inlined builtins** — ``set``/``incr``/``expr``/``if``/``while``/
-  ``for``/``return``/``break``/``continue`` with literal shapes lower
-  to dedicated opcodes behind an epoch-checked ``GUARD``; if any of
-  them is renamed or shadowed the guard diverts to an ``EXEC``
-  fallback that runs the original :class:`CompiledCommand` through the
-  AST path, preserving exact semantics.
+  ``for``/``foreach``/``return``/``break``/``continue`` with literal
+  shapes lower to dedicated opcodes behind an epoch-checked ``GUARD``;
+  if any of them is renamed or shadowed the guard diverts to a
+  fallback block holding the generic ``CALL`` of the same words (a
+  substituted word is computed once, before the guard, and ``PREFIX``
+  slides the literal words beneath it), so the command runs exactly as
+  its current definition says.
 * **Expr lowering** — precompiled expression trees become stack ops
   with int/int fast paths; constant subtrees fold at compile time.
 * **Peephole pass** — jump threading, jump-to-next removal, and
-  dead-code elision after unconditional exits (which generalizes the
-  AST layer's tail-``return`` trick: ops after a ``RETURN`` are
-  deleted outright).
+  dead-code elision after unconditional exits (ops after a ``RETURN``
+  are deleted outright).
 
 Command substitutions, ``if``/loop bodies, and multi-command words are
 all inlined into the *same* code object — the VM never recurses into
-Python to run them.  Anything the compiler cannot prove safe (``{*}``
-expansion, dynamic command names for builtins, unparseable sub-scripts)
-falls back to ``EXEC``/generic-``CALL``, so behaviour is always the
-AST interpreter's.
+Python to run them.  Every other shape still lowers inside the VM:
+``{*}`` words feed an ``EXPAND`` op ahead of a generic ``CALL``, a
+builtin whose arguments are not literal (or do not parse) is a generic
+``CALL`` that reports its error at run time, and an unparseable
+``[...]`` becomes an ``EVAL_NODE`` whose parse error surfaces when it
+runs — so behaviour is always the interpreted walk's.
+
+:func:`lower_script` is ``Interp.eval``'s entry: a script that is one
+literal command not in ``_INLINE`` (the shape of every dataflow rule
+action) lowers to a bare ``CALL_LIT`` cache entry instead of a
+:class:`Code` object.
 """
 
 from __future__ import annotations
@@ -38,15 +46,17 @@ from .bytecode import (
     Code,
     OP_ADD, OP_BIN, OP_BREAK, OP_CALL, OP_CALL_LIT, OP_COERCE, OP_CONCAT,
     OP_CONST, OP_CONTINUE, OP_ELOAD_NAME, OP_ELOAD_SLOT, OP_END, OP_EQ,
-    OP_EVAL_NODE, OP_EXEC, OP_GE, OP_GT, OP_GUARD, OP_INCR_NAME,
+    OP_EVAL_NODE, OP_EXPAND, OP_FOREACH_INIT, OP_FOREACH_NEXT, OP_GE,
+    OP_GT, OP_GUARD, OP_INCR_NAME,
     OP_INCR_SLOT, OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE, OP_LE,
-    OP_LOAD_NAME, OP_LOAD_SLOT, OP_LT, OP_MUL, OP_NE, OP_POP,
+    OP_LOAD_NAME, OP_LOAD_SLOT, OP_LT, OP_MUL, OP_NE, OP_POP, OP_PREFIX,
     OP_POP_BLOCK, OP_PUSH_BLOCK, OP_RETURN, OP_SET_NAME, OP_SET_SLOT,
     OP_SUB, OP_TO_STR, OP_UNARY,
 )
 from .errors import TclError
 from .expr import compile_expr, _eval_bin, eval_unary, parse_number
-from .interp import CompiledCommand, _abbrev
+from .interp import _abbrev
+from .listutil import parse_list
 from .parser import Command, TclParseError, Word, parse_cached
 
 # Ops after which control never falls through to the next instruction.
@@ -58,10 +68,6 @@ _TYPED_BIN = {
     "<": OP_LT, "<=": OP_LE, ">": OP_GT, ">=": OP_GE,
     "==": OP_EQ, "!=": OP_NE,
 }
-
-
-class _Fallback(Exception):
-    """Internal: abandon the fast lowering of one command."""
 
 
 class Label:
@@ -108,21 +114,14 @@ class _Asm:
         self.consts.append(v)
         return len(self.consts) - 1
 
-    def block_const(self, brk: Label, cont: Label) -> int:
-        idx = self.rconst((brk, cont))
+    def block_const(self, brk: Label, cont: Label, *extra: Any) -> int:
+        idx = self.rconst((brk, cont) + extra)
         self._blocks.append(idx)
         return idx
 
     def cache(self, entry: list) -> int:
         self.caches.append(entry)
         return len(self.caches) - 1
-
-    def checkpoint(self) -> tuple[int, int]:
-        return (len(self.instrs), len(self.regions))
-
-    def rollback(self, cp: tuple[int, int]) -> None:
-        del self.instrs[cp[0]:]
-        del self.regions[cp[1]:]
 
     def region(self, start: Label, end: Label, text: str, line: int) -> None:
         self.regions.append((start, end, text, line))
@@ -234,8 +233,8 @@ class _Asm:
             if len(c) == 6 and isinstance(c[5], Label):
                 c[5] = c[5].pos
         for idx in self._blocks:
-            brk, cont = self.consts[idx]
-            self.consts[idx] = (brk.pos, cont.pos)
+            b = self.consts[idx]
+            self.consts[idx] = (b[0].pos, b[1].pos) + b[2:]
         regions = [
             (s.pos, e.pos, text, line)
             for s, e, text, line in self.regions
@@ -301,7 +300,9 @@ class Compiler:
         try:
             cmds = parse_cached(text)
         except TclParseError:
-            raise _Fallback from None
+            # Its parse error must surface when (and only if) it runs.
+            self.asm.emit(OP_EVAL_NODE, self.asm.rconst(("cmdsub", text)))
+            return
         self.script_push(cmds)
 
     def script_push(self, cmds: list[Command]) -> None:
@@ -323,46 +324,44 @@ class Compiler:
 
     def command(self, cmd: Command) -> None:
         """Compile one command; leaves exactly one value on the stack."""
-        cp = self.asm.checkpoint()
-        try:
-            self._command_fast(cmd)
-        except _Fallback:
-            self.asm.rollback(cp)
-            self._exec(cmd)
-
-    def _exec(self, cmd: Command) -> None:
-        self.asm.line = cmd.line
-        self.asm.emit(OP_EXEC, self.asm.rconst(CompiledCommand(cmd)))
-
-    def _command_fast(self, cmd: Command) -> None:
         words = cmd.words
         asm = self.asm
         asm.line = cmd.line
         if not words:
             asm.emit(OP_CONST, asm.const(""))
             return
-        if any(w.expand for w in words):
-            raise _Fallback  # {*} expansion: AST path handles it exactly
         name = words[0].literal
         if name is not None and "::" not in name:
             handler = _INLINE.get(name)
-            if handler is not None and handler(self, cmd):
-                return
-        if all(w.literal is not None for w in words):
+            if handler is not None and not any(w.expand for w in words):
+                if handler(self, cmd):
+                    return
+        self.call(cmd)
+
+    def call(self, cmd: Command) -> None:
+        """Emit the generic dispatch of ``cmd``'s words."""
+        words = cmd.words
+        asm = self.asm
+        if all(w.literal is not None and not w.expand for w in words):
             argv = [w.literal for w in words]  # type: ignore[misc]
-            ci = asm.cache([argv, argv[1:], cmd.line, -1, None, 0, None])
+            ci = asm.cache(lit_entry(argv, cmd.line))
             asm.emit(OP_CALL_LIT, ci)
             return
         for w in words:
             self.word(w)
-        ci = asm.cache([len(words), cmd.line, -1, None, None, 0, None])
-        asm.emit(OP_CALL, ci)
+        asm.line = cmd.line
+        expand = tuple(w.expand for w in words)
+        if any(expand):
+            asm.emit(OP_EXPAND, asm.const((len(words), expand)))
+        asm.emit(OP_CALL, asm.cache(call_entry(len(words), cmd.line)))
 
     # -- inlined builtins --------------------------------------------------
-    # Each handler returns True when it emitted the command, False to use
-    # the generic CALL path (shape not eligible — including shapes whose
-    # runtime outcome is a wrong-args error, which the generic path
-    # reproduces exactly), or raises _Fallback to defer to EXEC.
+    # Each handler returns True when it emitted the command, or False to
+    # use the generic CALL path (shape not eligible — including shapes
+    # whose runtime outcome is an error, e.g. wrong args or an
+    # unparseable body, which the generic path reproduces exactly).
+    # A substituted word is lowered before the GUARD, as the interpreted
+    # walk substitutes every word before it looks the command up.
 
     def _guard(self, cmd: Command, name: str) -> tuple[Label, Label, Label]:
         """Emit GUARD; returns (region_start, fallback, join) labels.
@@ -377,29 +376,40 @@ class Compiler:
 
     def _close_guard(
         self, cmd: Command, labels: tuple[Label, Label, Label],
-        region_text: str | None = None,
+        region_text: str | None = None, at: int | None = None,
     ) -> None:
+        """Close the fast path; the fallback block calls the command's
+        current definition.  ``at`` is the index of the one substituted
+        word, already on the stack; every other word is literal."""
         rs, fb, join = labels
-        self.asm.emit(OP_JUMP, join)
+        asm = self.asm
+        asm.emit(OP_JUMP, join)
         if region_text is not None:
-            self.asm.region(rs, fb, region_text, cmd.line)
-        self.asm.mark(fb)
-        self._exec(cmd)
-        self.asm.mark(join)
+            asm.region(rs, fb, region_text, cmd.line)
+        asm.mark(fb)
+        if at is None:
+            self.call(cmd)
+        else:
+            words = cmd.words
+            asm.emit(OP_PREFIX, asm.const(tuple(w.literal for w in words[:at])))
+            for w in words[at + 1:]:
+                self.word(w)
+            asm.emit(OP_CALL, asm.cache(call_entry(len(words), cmd.line)))
+        asm.mark(join)
 
     def _in_set(self, cmd: Command) -> bool:
         words = cmd.words
         if len(words) != 3 or words[1].literal is None:
             return False
         name = words[1].literal
-        labels = self._guard(cmd, "set")
         self.word(words[2])
+        labels = self._guard(cmd, "set")
         si = self._slot(name)
         if si is not None:
             self.asm.emit(OP_SET_SLOT, self.asm.const((si, name, cmd.line)))
         else:
             self.asm.emit(OP_SET_NAME, self.asm.const((name, cmd.line)))
-        self._close_guard(cmd, labels)
+        self._close_guard(cmd, labels, at=2)
         return True
 
     def _in_incr(self, cmd: Command) -> bool:
@@ -439,7 +449,7 @@ class Compiler:
         try:
             node = compile_expr(words[1].literal)
         except TclError:
-            raise _Fallback from None
+            return False
         text = _abbrev(["expr", words[1].literal])
         labels = self._guard(cmd, "expr")
         self.lower_expr(node)
@@ -479,7 +489,7 @@ class Compiler:
                     else_cmds = parse_cached(args[i])  # bare trailing body
                 break
         except (TclError, TclParseError):
-            raise _Fallback from None
+            return False
         text = _abbrev([w.literal for w in words])  # type: ignore[misc]
         asm = self.asm
         labels = self._guard(cmd, "if")
@@ -507,7 +517,7 @@ class Compiler:
             cnode = compile_expr(words[1].literal)  # type: ignore[arg-type]
             body_cmds = parse_cached(words[2].literal)  # type: ignore[arg-type]
         except (TclError, TclParseError):
-            raise _Fallback from None
+            return False
         text = _abbrev([w.literal for w in words])  # type: ignore[misc]
         asm = self.asm
         labels = self._guard(cmd, "while")
@@ -539,7 +549,7 @@ class Compiler:
             next_cmds = parse_cached(words[3].literal)  # type: ignore[arg-type]
             body_cmds = parse_cached(words[4].literal)  # type: ignore[arg-type]
         except (TclError, TclParseError):
-            raise _Fallback from None
+            return False
         text = _abbrev([w.literal for w in words])  # type: ignore[misc]
         asm = self.asm
         labels = self._guard(cmd, "for")
@@ -561,17 +571,52 @@ class Compiler:
         self._close_guard(cmd, labels, region_text=text)
         return True
 
+    def _in_foreach(self, cmd: Command) -> bool:
+        # One var list over one list word; the list word may substitute.
+        words = cmd.words
+        if len(words) != 4 or words[1].literal is None or words[3].literal is None:
+            return False
+        try:
+            names = parse_list(words[1].literal)
+            body_cmds = parse_cached(words[3].literal)
+        except (ValueError, TclParseError):
+            return False
+        if not names:
+            return False  # runtime "foreach varlist is empty"
+        asm = self.asm
+        self.word(words[2])  # outside the region: not foreach's own errors
+        asm.line = cmd.line
+        labels = self._guard(cmd, "foreach")
+        rs, top, brk, re_ = Label(), Label(), Label(), Label()
+        asm.mark(rs)
+        # The loop block spans the whole loop and carries the iterator;
+        # break exits through `brk`, continue re-enters at `top`.
+        targets = tuple((n, self._slot(n)) for n in names)
+        asm.emit(OP_FOREACH_INIT, asm.block_const(brk, top, targets))
+        asm.mark(top)
+        asm.emit(OP_FOREACH_NEXT, brk)
+        self.script_discard(body_cmds)
+        asm.emit(OP_JUMP, top)
+        asm.mark(brk)
+        asm.emit(OP_POP_BLOCK, 0)
+        asm.mark(re_)
+        asm.region(rs, re_, (words[1].literal, words[3].literal), cmd.line)
+        asm.emit(OP_CONST, asm.const(""))
+        self._close_guard(cmd, labels, at=2)
+        return True
+
     def _in_return(self, cmd: Command) -> bool:
         words = cmd.words
         if len(words) > 2:
             return False  # -code forms raise TclReturn via the fn path
-        labels = self._guard(cmd, "return")
         if len(words) == 2:
             self.word(words[1])
+            labels = self._guard(cmd, "return")
         else:
+            labels = self._guard(cmd, "return")
             self.asm.emit(OP_CONST, self.asm.const(""))
         self.asm.emit(OP_RETURN, 0)
-        self._close_guard(cmd, labels)
+        self._close_guard(cmd, labels, at=1 if len(words) == 2 else None)
         return True
 
     def _in_break(self, cmd: Command) -> bool:
@@ -630,7 +675,7 @@ class Compiler:
             if a[0] == "num" and b[0] == "num":
                 # Constant folding — but only when evaluation cannot
                 # raise (a folded divide-by-zero would lose the runtime
-                # error the AST path reports on every execution).
+                # error `expr` reports on every execution).
                 try:
                     v = _eval_bin(op, a[1], b[1])
                 except TclError:
@@ -701,18 +746,59 @@ _INLINE = {
     "if": Compiler._in_if,
     "while": Compiler._in_while,
     "for": Compiler._in_for,
+    "foreach": Compiler._in_foreach,
     "return": Compiler._in_return,
     "break": Compiler._in_break,
     "continue": Compiler._in_continue,
 }
 
 
+def lit_entry(argv: list[str], line: int) -> list:
+    """An OP_CALL_LIT inline cache:
+    ``[argv, tail, line, epoch, ns, mode, payload]``."""
+    return [argv, argv[1:], line, -1, None, 0, None]
+
+
+def call_entry(argc: int, line: int) -> list:
+    """An OP_CALL inline cache:
+    ``[argc, line, epoch, ns, name, mode, payload]``."""
+    return [argc, line, -1, None, None, 0, None]
+
+
+def lower_script(interp, script: str) -> Code | list:
+    """Lower a script for ``Interp.eval``.
+
+    One literal command whose name the compiler does not inline lowers
+    to a bare CALL_LIT cache entry (see :func:`repro.tcl.vm.call_lit`):
+    no :class:`Code` object and no root frame, which dominates for the
+    unique single-command strings the dataflow engine evaluates.
+    Everything else becomes script-context :class:`Code`.
+    """
+    cmds = _parse(script)
+    if len(cmds) == 1:
+        words = cmds[0].words
+        if (
+            words
+            and all(w.literal is not None and not w.expand for w in words)
+            and words[0].literal not in _INLINE
+        ):
+            return lit_entry([w.literal for w in words], cmds[0].line)
+    return _script_code(interp, cmds, "<script>", script)
+
+
 def compile_script_code(interp, script: str, name: str = "<script>") -> Code:
     """Compile a script-context (frame-agnostic) :class:`Code` object."""
+    return _script_code(interp, _parse(script), name, script)
+
+
+def _parse(script: str) -> list[Command]:
     try:
-        cmds = parse_cached(script)
+        return parse_cached(script)
     except TclParseError as e:
         raise TclError(str(e)) from None
+
+
+def _script_code(interp, cmds: list[Command], name: str, script: str) -> Code:
     c = Compiler(proc_mode=False)
     c.script_push(cmds)
     code = c.finish(name, script)
@@ -721,8 +807,11 @@ def compile_script_code(interp, script: str, name: str = "<script>") -> Code:
 
 
 def compile_proc_code(interp, proc) -> Code | None:
-    """Compile a proc body with local slots; None if the body won't parse
-    (the AST path then reports the parse error at call time)."""
+    """Compile a proc body with local slots; None when the body won't
+    parse or its parameter names do not map one-to-one onto slots
+    (qualified or duplicate names).  ``TclProc.__call__`` then binds the
+    arguments by name and evaluates the body text, which reports a parse
+    error at call time like the interpreted walk."""
     try:
         cmds = parse_cached(proc.body)
     except TclParseError:
@@ -730,9 +819,9 @@ def compile_proc_code(interp, proc) -> Code | None:
     c = Compiler(proc_mode=True)
     for pname, _default in proc.params:
         if c._slot(pname) is None:
-            return None  # qualified/empty param name: AST path
+            return None
     if len(c.slots or {}) != len(proc.params):
-        return None  # duplicate param names: keep AST binding semantics
+        return None
     c.script_push(cmds)
     proto = (proc.name, proc.params, len(proc.params), proc._simple)
     code = c.finish("<proc %s>" % proc.name, proc.body, proto=proto)

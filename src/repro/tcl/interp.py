@@ -4,6 +4,12 @@ Values follow the everything-is-a-string model: command arguments and
 results are Python ``str``.  Opaque host objects (blobs, interpreter
 handles, native pointers) are stored in an object registry and passed
 through Tcl as handle strings, the same trick SWIG uses for pointers.
+
+Two engines run the language.  By default scripts and proc bodies are
+lowered to bytecode (:mod:`repro.tcl.compile`) and run on the VM
+(:mod:`repro.tcl.vm`); ``Interp(compile_enabled=False)`` walks the
+parsed commands directly instead, and is the reference oracle the VM
+is differentially tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Any, Callable
 from ..lru import LRUCache
 from .bytecode import VMStats
 from .errors import TclBreak, TclContinue, TclError, TclReturn
-from .expr import compile_expr, eval_node, to_string
+from .expr import to_string
 from .listutil import format_list, parse_list
 from .parser import Command, TclParseError, Word, parse_cached
 
@@ -31,139 +37,10 @@ class InterpCacheStats:
     ``tcl.compile.*`` at the end of each engine/worker loop.
     """
 
-    hits: int = 0  # compiled-script cache hits (evals served compiled)
-    misses: int = 0  # scripts compiled (first sight or LRU-evicted)
+    hits: int = 0  # VM code-cache hits (evals served already lowered)
+    misses: int = 0  # scripts lowered (first sight or LRU-evicted)
     expr_hits: int = 0  # expr AST cache hits
     expr_misses: int = 0  # expr ASTs parsed
-
-
-def _compile_cmd_subst(script: str) -> Callable[["Interp"], str]:
-    """Compile a ``[command]`` substitution into a direct closure.
-
-    The inner script is compiled lazily on first execution (via the
-    owning interp's compiled-script cache) and pinned in the closure,
-    so repeat substitutions skip the eval/cache-lookup chain entirely.
-    Single-command substitutions — essentially all of them in generated
-    code — also skip the per-eval depth guard: runaway recursion always
-    passes through a proc call or ``eval``, both of which are guarded.
-    """
-    cache: list = []
-
-    def run(interp: "Interp") -> str:
-        if not cache:
-            code = interp.compiled(script)
-            cache.append(code[0] if len(code) == 1 else None)
-            cache.append(code)
-        single = cache[0]
-        if single is not None:
-            return interp._run_compiled(single)
-        return interp.eval_compiled(cache[1])
-
-    return run
-
-
-def _compile_word(word: Word) -> Callable[["Interp"], str]:
-    """Specialize one non-literal word into a direct substitution closure.
-
-    Single-``$var`` and single-``[cmd]`` words — the overwhelming
-    majority in generated Turbine code — skip the segment walk
-    entirely.
-    """
-    segs = word.segments
-    if len(segs) == 1:
-        kind, text = segs[0]
-        if kind == "var":
-            return lambda interp: interp.get_var(text)
-        if kind == "cmd":
-            return _compile_cmd_subst(text)
-        return lambda interp: text
-    fns: list[Callable[["Interp"], str]] = []
-    for kind, text in segs:
-        if kind == "lit":
-            fns.append(lambda interp, t=text: t)
-        elif kind == "var":
-            fns.append(lambda interp, t=text: interp.get_var(t))
-        else:  # cmd
-            fns.append(_compile_cmd_subst(text))
-
-    def subst(interp: "Interp", fns: list = fns) -> str:
-        return "".join(f(interp) for f in fns)
-
-    return subst
-
-
-class CompiledCommand:
-    """The compiled form of one parsed :class:`Command`.
-
-    Owned by a single interpreter (compiled forms live in the interp's
-    per-instance cache, never shared across interps/threads), which
-    makes the embedded command-pointer cache safe.
-
-    * ``argv``/``argv_tail`` — precomputed argument vector when every
-      word is literal (no runtime substitution at all).
-    * ``words`` — substitution closures otherwise.
-    * ``_fn``/``_epoch``/``_ns``/``_name`` — the resolved-command
-      cache: valid only while the owning interp's ``cmd_epoch`` and
-      current namespace match, so ``proc`` redefinition, ``rename``,
-      and re-``register`` self-invalidate every compiled call site.
-    * ``_expr_node`` — when the resolved command is the built-in
-      ``expr`` and the argument is a single literal, the precompiled
-      AST; evaluated directly, skipping dispatch and the AST cache.
-      (Re)built together with the resolved-command cache, so it obeys
-      the same epoch invalidation.
-    """
-
-    __slots__ = (
-        "line", "argv", "argv_tail", "words", "name_literal",
-        "_fn", "_epoch", "_ns", "_name", "_expr_node",
-    )
-
-    def __init__(self, cmd: Command):
-        self.line = cmd.line
-        words = cmd.words
-        if all(w.literal is not None and not w.expand for w in words):
-            self.argv: list[str] | None = [w.literal for w in words]  # type: ignore[misc]
-            self.argv_tail: list[str] | None = self.argv[1:]
-            self.words: list[tuple[Callable, bool]] | None = None
-            self.name_literal: str | None = self.argv[0] if self.argv else None
-        else:
-            self.argv = None
-            self.argv_tail = None
-            self.words = [
-                (
-                    (lambda interp, lit=w.literal: lit)
-                    if w.literal is not None
-                    else _compile_word(w),
-                    w.expand,
-                )
-                for w in words
-            ]
-            self.name_literal = (
-                words[0].literal if words and not words[0].expand else None
-            )
-        self._fn: CommandFn | None = None
-        self._epoch = -1
-        self._ns: Namespace | None = None
-        self._name: str | None = None
-        self._expr_node: Any = None
-
-
-CompiledScript = list[CompiledCommand]
-
-# Builtins that evaluate a script argument through the AST-walk
-# internals (``compiled``/``eval_compiled``).  The VM's single-command
-# fast path must not dispatch these directly, or a top-level
-# ``for``/``while``/... would run its body on the AST walk instead of
-# the bytecode the VM inlines for it.  Name-based on purpose: if a user
-# rebinds one of these names the script just takes the (semantically
-# identical) full bytecode path.
-_SCRIPT_BUILTINS = frozenset(
-    (
-        "if", "while", "for", "foreach", "switch", "eval", "catch",
-        "time", "subst", "dict", "lmap", "namespace", "source",
-        "uplevel", "apply", "try",
-    )
-)
 
 
 class Var:
@@ -201,9 +78,7 @@ class TclProc:
     """A user-defined procedure (``proc``)."""
 
     __slots__ = (
-        "name", "params", "body", "ns",
-        "_code", "_code_interp", "_names", "_simple",
-        "_tail", "_tail_prefix", "_tail_epoch", "_tail_ok",
+        "name", "params", "body", "ns", "_names", "_simple",
         "_vm_code", "_vm_code_interp",
     )
 
@@ -218,129 +93,74 @@ class TclProc:
         self.params = params  # (name, default|None); last may be "args"
         self.body = body
         self.ns = ns
-        # Compiled-commands slot: the body compiled for one interp.
-        # Procs are created per-interp (each rank evals the prelude
-        # itself), but guard on interp identity anyway.
-        self._code: CompiledScript | None = None
-        self._code_interp: "Interp" | None = None
         # Argument-binding fast path: plain positional params only.
         self._names = [p for p, _ in params]
         self._simple = all(d is None for _, d in params) and (
             not params or params[-1][0] != "args"
         )
-        # Tail-return fast path (see _analyze_tail): when the body ends
-        # in a plain `return ?value?`, the value is computed directly
-        # instead of threading a TclReturn exception through the stack.
-        self._tail: tuple | None = None
-        self._tail_prefix: CompiledScript | None = None
-        self._tail_epoch = -1
-        self._tail_ok = False
         # Bytecode slot: the body lowered for one interp's VM; False
-        # marks a body the compiler declined (kept on the AST path).
+        # marks a body the compiler declined.  Procs are created
+        # per-interp (each rank evals the prelude itself), but guard on
+        # interp identity anyway.
         self._vm_code: Any = None
         self._vm_code_interp: "Interp" | None = None
 
-    def _analyze_tail(self, code: CompiledScript) -> None:
-        """Detect a body ending in ``return`` / ``return <word>``.
+    def bind(self, frame: Frame, args: list[str], cells: list | None = None) -> None:
+        """Bind call arguments into ``frame`` (defaults, ``args``).
 
-        Only the zero-or-one-argument form is eligible (option parsing
-        in ``cmd_return`` never triggers with a single argument, so the
-        value passes through verbatim).  Whether ``return`` still
-        resolves to the builtin is validated per call under the interp's
-        command epoch, mirroring the CompiledCommand pointer cache.
+        ``cells``, when given, receives each parameter's cell at its
+        slot index (the VM's local-slot vector).
         """
-        self._tail = None
-        self._tail_prefix = None
-        self._tail_epoch = -1
-        self._tail_ok = False
-        if not code:
-            return
-        last = code[-1]
-        if last.argv is not None:
-            if last.argv[0] == "return" and len(last.argv) <= 2:
-                self._tail = ("lit", last.argv[1] if len(last.argv) == 2 else "")
-        elif (
-            last.name_literal == "return"
-            and len(last.words) == 2  # type: ignore[arg-type]
-            and not last.words[1][1]  # type: ignore[index]
-        ):
-            self._tail = ("sub", last.words[1][0])  # type: ignore[index]
-        if self._tail is not None:
-            self._tail_prefix = code[:-1]
+        params = self.params
+        n_named = len(params)
+        has_varargs = bool(params) and params[-1][0] == "args"
+        if has_varargs:
+            n_named -= 1
+        if len(args) > n_named and not has_varargs:
+            raise self._wrong_args()
+        fv = frame.vars
+        for i in range(n_named):
+            pname, default = params[i]
+            if i < len(args):
+                cell = Var(args[i])
+            elif default is not None:
+                cell = Var(default)
+            else:
+                raise self._wrong_args()
+            fv[pname] = cell
+            if cells is not None:
+                cells[i] = cell
+        if has_varargs:
+            cell = Var(format_list(args[n_named:]))
+            fv["args"] = cell
+            if cells is not None:
+                cells[n_named] = cell
+
+    def _wrong_args(self) -> TclError:
+        return TclError(
+            'wrong # args: should be "%s %s"'
+            % (self.name, " ".join(p for p, _ in self.params))
+        )
 
     def __call__(self, interp: "Interp", argv: list[str]) -> str:
-        if interp.exec_vm:
-            vcode = self._vm_code
-            if vcode is None or self._vm_code_interp is not interp:
-                vcode = interp._vm_proc_code(interp, self)
-            elif vcode is False:
-                vcode = None
-            if vcode is not None:
-                return interp._vm_call_proc(interp, self, vcode, argv)
-            # Body the bytecode compiler declined: AST path below.
+        if interp.compile_enabled:
+            code = interp._vm_proc_code(interp, self)
+            if code is not None:
+                return interp._vm_call_proc(interp, self, code, argv)
+        # Interpreted walk, or a body the bytecode compiler declined
+        # (unparseable, or parameter names the slot table cannot hold):
+        # bind by name and evaluate the body in the new frame.
         frame = Frame(self.ns, label=self.name)
-        params = self.params
-        if self._simple and len(argv) == len(params):
+        if self._simple and len(argv) == len(self.params):
             fv = frame.vars
             for pname, val in zip(self._names, argv):
                 fv[pname] = Var(val)
         else:
-            n_named = len(params)
-            has_varargs = bool(params) and params[-1][0] == "args"
-            if has_varargs:
-                n_named -= 1
-            if len(argv) > n_named and not has_varargs:
-                raise TclError(
-                    'wrong # args: should be "%s %s"'
-                    % (self.name, " ".join(p for p, _ in params))
-                )
-            for i in range(n_named):
-                pname, default = params[i]
-                if i < len(argv):
-                    frame.vars[pname] = Var(argv[i])
-                elif default is not None:
-                    frame.vars[pname] = Var(default)
-                else:
-                    raise TclError(
-                        'wrong # args: should be "%s %s"'
-                        % (self.name, " ".join(p for p, _ in params))
-                    )
-            if has_varargs:
-                frame.vars["args"] = Var(format_list(argv[n_named:]))
+            self.bind(frame, argv)
         interp.frames.append(frame)
         saved_ns = interp.current_ns
         interp.current_ns = self.ns
         try:
-            if interp.compile_enabled:
-                code = self._code
-                if code is None or self._code_interp is not interp:
-                    code = interp.compiled(self.body)
-                    self._code = code
-                    self._code_interp = interp
-                    self._analyze_tail(code)
-                tail = self._tail
-                if tail is not None:
-                    if self._tail_epoch != interp.cmd_epoch:
-                        fn = interp.lookup_command("return")
-                        self._tail_ok = getattr(fn, "return_builtin", False)
-                        self._tail_epoch = interp.cmd_epoch
-                    if self._tail_ok:
-                        # Run the body inline: prefix commands, then the
-                        # return value — no TclReturn, no extra eval level.
-                        if interp._depth >= interp.MAX_DEPTH:
-                            raise TclError(
-                                "too many nested evaluations (infinite loop?)"
-                            )
-                        interp._depth += 1
-                        try:
-                            run = interp._run_compiled
-                            for cc in self._tail_prefix:  # type: ignore[union-attr]
-                                run(cc)
-                            kind, payload = tail
-                            return payload if kind == "lit" else payload(interp)
-                        finally:
-                            interp._depth -= 1
-                return interp.eval_compiled(code)
             return interp.eval(self.body)
         except TclReturn as r:
             if r.code == 1:
@@ -358,9 +178,12 @@ class Interp:
     worker task fragments are evaluated here.
     """
 
+    # Interpreted walk: every Tcl evaluation level is a few Python
+    # frames, so the recursion limit is raised to let this guard fire
+    # first.
     MAX_DEPTH = 900
-    # VM mode: Tcl proc calls stay inside one dispatch loop, so only
-    # nested *evaluations* (eval/catch/uplevel and AST fallbacks)
+    # VM: Tcl proc calls stay inside one dispatch loop, so only nested
+    # *evaluations* (eval/catch/uplevel, command-form loop bodies)
     # consume Python stack — a much lower eval-depth budget fits under
     # CPython's default recursion limit with no setrecursionlimit bump.
     VM_MAX_DEPTH = 128
@@ -368,21 +191,15 @@ class Interp:
     # raises a catchable TclError (replaces RecursionError entirely).
     FRAME_LIMIT = 4000
 
-    def __init__(
-        self,
-        register_core: bool = True,
-        compile_enabled: bool = True,
-        exec_mode: str = "vm",
-    ):
-        if exec_mode not in ("vm", "ast"):
-            raise ValueError("exec_mode must be 'vm' or 'ast'")
-        self.exec_vm = bool(compile_enabled) and exec_mode == "vm"
-        if not self.exec_vm:
-            # A Tcl evaluation level costs ~12 Python frames; make room
-            # for the MAX_DEPTH guard to fire before CPython's.
-            sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-        else:
+    def __init__(self, register_core: bool = True, compile_enabled: bool = True):
+        # compile_enabled selects the engine: the bytecode VM (default)
+        # or the interpreted walk over parsed commands, kept as the
+        # reference oracle the VM is tested against.
+        self.compile_enabled = compile_enabled
+        if compile_enabled:
             self.MAX_DEPTH = self.VM_MAX_DEPTH
+        else:
+            sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
         self.global_ns = Namespace("")
         self.namespaces: dict[str, Namespace] = {"": self.global_ns}
         self.commands: dict[str, CommandFn] = {}
@@ -400,25 +217,22 @@ class Interp:
         # Output sink for puts (tests capture this).
         self.stdout: list[str] = []
         self.echo = True  # also print to real stdout
-        # --- compilation fast path ---------------------------------------
         # cmd_epoch is bumped by register/unregister (and therefore by
-        # proc redefinition and rename); every CompiledCommand's
-        # resolved-command pointer is tagged with the epoch it was
-        # looked up under and re-resolves when they differ.
-        self.compile_enabled = compile_enabled
+        # proc redefinition and rename); every VM inline cache is tagged
+        # with the epoch it was resolved under and re-resolves when
+        # they differ.
         self.cmd_epoch = 0
-        self._code_cache: LRUCache[str, CompiledScript] = LRUCache(4096)
         self.cache_stats = InterpCacheStats()
-        # --- bytecode VM ---------------------------------------------------
         self.vm_stats = VMStats()
-        if self.exec_vm:
+        if compile_enabled:
             from . import vm as _vm
-            from .compile import compile_script_code as _vm_compile
+            from .compile import lower_script
 
             self._vm_run_script = _vm.run_script
+            self._vm_call_lit = _vm.call_lit
             self._vm_call_proc = _vm.call_proc
             self._vm_proc_code = _vm.proc_code
-            self._vm_compile_script = _vm_compile
+            self._vm_lower = lower_script
             self._vm_code_cache: LRUCache[str, Any] = LRUCache(2048)
         if register_core:
             from .commands import register_all
@@ -562,30 +376,19 @@ class Interp:
 
     def eval(self, script: str) -> str:
         """Evaluate a script; returns the result of its last command."""
-        if self.exec_vm:
-            if self._depth >= self.MAX_DEPTH:
-                raise TclError("too many nested evaluations (infinite loop?)")
-            self._depth += 1
-            try:
-                code = self.vm_compiled(script)
-                if type(code) is CompiledCommand:
-                    # Single literal command (the shape of every
-                    # dataflow rule action): dispatch straight through
-                    # the shared per-command path — no script Code
-                    # object, no root VM frame.  Proc bodies still run
-                    # on the VM via TclProc.__call__.
-                    return self._run_compiled(code)
-                return self._vm_run_script(self, code)
-            finally:
-                self._depth -= 1
-        if self.compile_enabled:
-            return self.eval_compiled(self.compiled(script))
-        # Interpreted fallback (compile_enabled=False): walk the parsed
-        # representation directly, substituting per word per call.
         if self._depth >= self.MAX_DEPTH:
             raise TclError("too many nested evaluations (infinite loop?)")
         self._depth += 1
         try:
+            if self.compile_enabled:
+                code = self.vm_compiled(script)
+                if type(code) is list:
+                    # One literal command (the shape of every dataflow
+                    # rule action): an OP_CALL_LIT cache entry
+                    # dispatched with no Code object and no root frame.
+                    return self._vm_call_lit(self, code)
+                return self._vm_run_script(self, code)
+            # Interpreted walk: substitute per word per call.
             try:
                 cmds = parse_cached(script)
             except TclParseError as e:
@@ -598,14 +401,14 @@ class Interp:
             self._depth -= 1
 
     def vm_compiled(self, script: str):
-        """Fetch (or lower) the bytecode form of a script, LRU-cached.
+        """Fetch (or lower) the VM form of a script, LRU-cached.
 
-        Mirrors :meth:`compiled`; hit/miss totals feed both the shared
-        ``tcl.compile.*`` counters and the VM's own ``tcl.vm.code_*``.
+        Hit/miss totals feed both the ``tcl.compile.*`` counters and the
+        VM's own ``tcl.vm.code_*``.
         """
         code = self._vm_code_cache.get(script)
         if code is None:
-            code = self._vm_lower(script)
+            code = self._vm_lower(self, script)
             self._vm_code_cache.put(script, code)
             self.vm_stats.code_misses += 1
             self.cache_stats.misses += 1
@@ -614,142 +417,10 @@ class Interp:
             self.cache_stats.hits += 1
         return code
 
-    def _vm_lower(self, script: str):
-        """Lower one script for the VM backend.
-
-        One-command scripts whose words are all literal skip bytecode
-        entirely: lowering them to a :class:`CompiledCommand` avoids
-        the per-script Code build and root frame, which dominates for
-        the unique single-command strings the dataflow engine emits.
-        Everything else gets the full bytecode treatment.
-        """
+    def _invoke(self, fn: CommandFn, args: list[str], argv: list[str], line: int) -> str:
+        """Call a resolved command; errors gain the ``argv`` call site."""
         try:
-            cmds = parse_cached(script)
-        except TclParseError as e:
-            raise TclError(str(e)) from None
-        if len(cmds) == 1:
-            cc = CompiledCommand(cmds[0])
-            if cc.argv is not None and cc.argv[0] not in _SCRIPT_BUILTINS:
-                return cc
-        return self._vm_compile_script(self, script)
-
-    def compiled(self, script: str) -> CompiledScript:
-        """Fetch (or build) the compiled form of a script, LRU-cached.
-
-        Loop commands call this once per loop entry and re-run the
-        result via :meth:`eval_compiled` with no per-iteration lookups.
-        """
-        code = self._code_cache.get(script)
-        if code is None:
-            code = self.compile_script(script)
-            self._code_cache.put(script, code)
-        else:
-            self.cache_stats.hits += 1
-        return code
-
-    def compile_script(self, script: str) -> CompiledScript:
-        """Compile a script to its specialized per-command form (uncached).
-
-        The result is owned by this interpreter; prefer
-        :meth:`compiled` unless the caller caches the result itself.
-        """
-        self.cache_stats.misses += 1
-        try:
-            cmds = parse_cached(script)
-        except TclParseError as e:
-            raise TclError(str(e)) from None
-        return [CompiledCommand(cmd) for cmd in cmds]
-
-    def eval_compiled(self, code: CompiledScript) -> str:
-        """Run a compiled script (see :meth:`compile_script`)."""
-        if self._depth >= self.MAX_DEPTH:
-            raise TclError("too many nested evaluations (infinite loop?)")
-        self._depth += 1
-        try:
-            result = ""
-            for cc in code:
-                result = self._run_compiled(cc)
-            return result
-        finally:
-            self._depth -= 1
-
-    def _run_compiled(self, cc: CompiledCommand) -> str:
-        if cc.argv is not None:
-            # Literal-only command: argv precomputed at compile time.
-            argv = cc.argv
-            tail = cc.argv_tail
-        else:
-            argv = []
-            for subst, expand in cc.words:  # type: ignore[union-attr]
-                val = subst(self)
-                if expand:
-                    argv.extend(parse_list(val))
-                else:
-                    argv.append(val)
-            if not argv:
-                return ""
-            tail = None
-        name = argv[0]
-        fn = cc._fn
-        if (
-            fn is None
-            or cc._epoch != self.cmd_epoch
-            or cc._ns is not self.current_ns
-            or cc._name != name
-        ):
-            fn = self.lookup_command(name)
-            if fn is not None:
-                cc._fn = fn
-                cc._epoch = self.cmd_epoch
-                cc._ns = self.current_ns
-                cc._name = name
-                # Specialize literal `expr {...}`: precompile the AST and
-                # evaluate it directly on later runs.  Tied to the fn
-                # cache, so re-registering `expr` rebuilds the spec.
-                if (
-                    tail is not None
-                    and len(argv) == 2
-                    and getattr(fn, "expr_builtin", False)
-                ):
-                    try:
-                        cc._expr_node = compile_expr(argv[1])
-                    except TclError:
-                        cc._expr_node = None
-                else:
-                    cc._expr_node = None
-        if fn is None:
-            fn = self.commands.get("unknown")
-            if fn is None:
-                raise TclError('invalid command name "%s"' % name)
-            return self._finish_command(fn, ["unknown"] + list(argv), cc.line, 1)
-        node = cc._expr_node
-        try:
-            if node is not None:
-                result = eval_node(self, node)
-            else:
-                result = fn(self, tail if tail is not None else argv[1:])
-        except (TclReturn, TclBreak, TclContinue):
-            raise
-        except TclError as e:
-            e.add_info('"%s" (line %d)' % (_abbrev(argv), cc.line))
-            raise
-        except RecursionError:
-            raise
-        except Exception as e:  # host (Python) error surfaces as Tcl error
-            err = TclError("%s: %s" % (type(e).__name__, e))
-            err.add_info('"%s" (line %d)' % (_abbrev(argv), cc.line))
-            err.__cause__ = e
-            raise err from e
-        if result is None:
-            return ""
-        return result if isinstance(result, str) else to_string(result)
-
-    def _finish_command(
-        self, fn: CommandFn, argv: list[str], line: int, skip: int
-    ) -> str:
-        """Slow-path dispatch through ``unknown`` with error decoration."""
-        try:
-            result = fn(self, argv[skip:])
+            result = fn(self, args)
         except (TclReturn, TclBreak, TclContinue):
             raise
         except TclError as e:
@@ -757,7 +428,7 @@ class Interp:
             raise
         except RecursionError:
             raise
-        except Exception as e:
+        except Exception as e:  # host (Python) error surfaces as Tcl error
             err = TclError("%s: %s" % (type(e).__name__, e))
             err.add_info('"%s" (line %d)' % (_abbrev(argv), line))
             err.__cause__ = e
@@ -784,35 +455,18 @@ class Interp:
         for word in cmd.words:
             val = self._subst_word(word)
             if word.expand:
-                argv.extend(parse_list(val))
+                argv.extend(expand_list(val))
             else:
                 argv.append(val)
         if not argv:
             return ""
-        name = argv[0]
-        fn = self.lookup_command(name)
+        fn = self.lookup_command(argv[0])
         if fn is None:
             fn = self.commands.get("unknown")
             if fn is None:
-                raise TclError('invalid command name "%s"' % name)
+                raise TclError('invalid command name "%s"' % argv[0])
             argv = ["unknown"] + argv
-        try:
-            result = fn(self, argv[1:])
-        except (TclReturn, TclBreak, TclContinue):
-            raise
-        except TclError as e:
-            e.add_info('"%s" (line %d)' % (_abbrev(argv), cmd.line))
-            raise
-        except RecursionError:
-            raise
-        except Exception as e:  # host (Python) error surfaces as Tcl error
-            err = TclError("%s: %s" % (type(e).__name__, e))
-            err.add_info('"%s" (line %d)' % (_abbrev(argv), cmd.line))
-            err.__cause__ = e
-            raise err from e
-        if result is None:
-            return ""
-        return result if isinstance(result, str) else to_string(result)
+        return self._invoke(fn, argv[1:], argv, cmd.line)
 
     # -- host conveniences ------------------------------------------------------
 
@@ -831,6 +485,15 @@ class Interp:
         self.stdout.append(line)
         if self.echo:
             print(line)
+
+
+def expand_list(value: str) -> list[str]:
+    """Split a list value for ``{*}`` or ``foreach``; a malformed list
+    is a TclError wherever it occurs, as it is inside any command."""
+    try:
+        return parse_list(value)
+    except ValueError as e:
+        raise TclError("%s: %s" % (type(e).__name__, e)) from e
 
 
 def _abbrev(argv: list[str]) -> str:

@@ -7,23 +7,25 @@ bounded by ``Interp.FRAME_LIMIT`` (a catchable :class:`TclError`), not
 by CPython's recursion limit.
 
 Command resolution goes through per-site inline caches validated
-against the interp's ``cmd_epoch``/current-namespace, the same
-invalidation protocol as the AST layer's ``CompiledCommand`` pointer
-caches, so ``proc`` redefinition and ``rename`` take effect at every
-call site immediately.  Caches resolve to one of four modes:
+against the interp's ``cmd_epoch``/current-namespace, so ``proc``
+redefinition and ``rename`` take effect at every call site
+immediately.  Caches resolve to one of four modes:
 
-* 1 — plain command function (builtins, unparseable-body procs);
+* 1 — plain command function (builtins, procs the compiler declined);
 * 2 — VM-compiled proc, run as an inline frame;
 * 3 — *trivial* proc whose whole body is ``return $param`` or
   ``return <literal>``: the call site pushes the result directly with
-  no frame at all (the VM's generalization of the AST layer's
-  tail-return trick);
-* 0 — unresolved (unknown command; never cached, like the AST path).
+  no frame at all;
+* 0 — unresolved (unknown command; never cached).
 
-Error decoration mirrors the AST interpreter exactly: CALL sites wrap
-the callee like ``Interp._run_compiled``; inlined control constructs
-carry static ``(pc-range, text, line)`` regions applied innermost-first
-while unwinding; proc frames append their call-site line as they pop.
+:func:`call_lit` dispatches the same CALL_LIT cache entry outside any
+code object, for scripts that are one literal command.
+
+Error decoration mirrors the interpreted walk exactly: CALL sites wrap
+the callee like ``Interp._invoke``; inlined control constructs carry
+``(pc-range, text, line)`` regions applied innermost-first while
+unwinding (an inlined ``foreach`` reads its list word off its loop
+block); proc frames append their call-site line as they pop.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from __future__ import annotations
 from .bytecode import (
     OP_ADD, OP_BIN, OP_BREAK, OP_CALL, OP_CALL_LIT, OP_COERCE, OP_CONCAT,
     OP_CONST, OP_CONTINUE, OP_ELOAD_NAME, OP_ELOAD_SLOT, OP_END, OP_EQ,
-    OP_EVAL_NODE, OP_EXEC, OP_GE, OP_GT, OP_GUARD, OP_INCR_NAME,
+    OP_EVAL_NODE, OP_EXPAND, OP_FOREACH_INIT, OP_FOREACH_NEXT, OP_GE,
+    OP_GT, OP_GUARD, OP_INCR_NAME,
     OP_INCR_SLOT, OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE, OP_LE,
-    OP_LOAD_NAME, OP_LOAD_SLOT, OP_LT, OP_MUL, OP_NE, OP_POP,
+    OP_LOAD_NAME, OP_LOAD_SLOT, OP_LT, OP_MUL, OP_NE, OP_POP, OP_PREFIX,
     OP_POP_BLOCK, OP_PUSH_BLOCK, OP_RETURN, OP_SET_NAME, OP_SET_SLOT,
     OP_SUB, OP_TO_STR, OP_UNARY,
 )
@@ -42,16 +45,15 @@ from .expr import (
     _eval_bin, coerce, eval_node, eval_unary, parse_number, to_string,
     truthy,
 )
-from .interp import Frame, TclProc, Var, _abbrev
-from .listutil import format_list
+from .interp import Frame, TclProc, Var, _abbrev, expand_list
 
 
 class VMFrame(Frame):
     """One VM activation: a Tcl frame fused with its VM state.
 
     Subclassing :class:`Frame` lets proc activations go straight onto
-    ``interp.frames`` (upvar/uplevel and AST fallbacks see a normal
-    frame) without a second allocation.
+    ``interp.frames`` (upvar/uplevel and builtins see a normal frame)
+    without a second allocation.
 
     ``kind`` 0 = script root (entered via ``Interp.eval``; runs against
     the *caller's* Tcl frame — ``tclframe`` points elsewhere), 1 = proc
@@ -82,7 +84,8 @@ class VMFrame(Frame):
         self.prev_ns = prev_ns
         self.kind = kind
         self.dec = dec  # (argv, line) of the call site, for unwinding
-        self.blocks = []  # (break_pc, continue_pc, stack_depth)
+        # (break_pc, continue_pc, stack_depth, foreach state or None)
+        self.blocks = []
         self.cells = []
         self.cellsv = 0
 
@@ -112,16 +115,19 @@ def _trivial(interp, proc, code):
     if not proc._simple:
         return None
     ops = code.ops
-    if len(ops) < 6 or ops[0] != OP_GUARD or ops[4] != OP_RETURN:
+    if len(ops) < 6 or ops[4] != OP_RETURN:
         return None
-    if code.caches[ops[1]][1] != "return":
+    # `return value` lowers its value before the guard; bare `return`
+    # pushes "" after it.
+    g, v = (0, 2) if ops[0] == OP_GUARD else (2, 0)
+    if ops[g] != OP_GUARD or code.caches[ops[g + 1]][1] != "return":
         return None
-    if ops[2] == OP_LOAD_SLOT:
-        if ops[3] >= len(proc.params):
+    if ops[v] == OP_LOAD_SLOT:
+        if ops[v + 1] >= len(proc.params):
             return None  # returns a non-param local: must error at runtime
-        triv = (0, ops[3], len(proc.params), proc, code)
-    elif ops[2] == OP_CONST:
-        triv = (1, code.consts[ops[3]], len(proc.params), proc, code)
+        triv = (0, ops[v + 1], len(proc.params), proc, code)
+    elif ops[v] == OP_CONST:
+        triv = (1, code.consts[ops[v + 1]], len(proc.params), proc, code)
     else:
         return None
     # `return` must still be the builtin as seen from the proc's ns.
@@ -150,7 +156,7 @@ def _resolve(interp, c, name):
     """(Re)fill a CALL inline cache; returns the dispatch mode."""
     fn = interp.lookup_command(name)
     if fn is None:
-        return 0  # unknown command: never cached, like the AST path
+        return 0  # unknown command: never cached
     mode, payload = _classify(interp, fn)
     c[2] = interp.cmd_epoch
     c[3] = interp.current_ns
@@ -172,42 +178,10 @@ def _resolve_lit(interp, c):
     return mode
 
 
-def _bind_slow(proc, frame, args, cells):
-    """Replicate TclProc.__call__'s default/varargs binding exactly."""
-    params = proc.params
-    n_named = len(params)
-    has_varargs = bool(params) and params[-1][0] == "args"
-    if has_varargs:
-        n_named -= 1
-    if len(args) > n_named and not has_varargs:
-        raise TclError(
-            'wrong # args: should be "%s %s"'
-            % (proc.name, " ".join(p for p, _ in params))
-        )
-    fv = frame.vars
-    for i in range(n_named):
-        pname, default = params[i]
-        if i < len(args):
-            cell = Var(args[i])
-        elif default is not None:
-            cell = Var(default)
-        else:
-            raise TclError(
-                'wrong # args: should be "%s %s"'
-                % (proc.name, " ".join(p for p, _ in params))
-            )
-        fv[pname] = cell
-        cells[i] = cell
-    if has_varargs:
-        cell = Var(format_list(args[n_named:]))
-        fv["args"] = cell
-        cells[n_named] = cell
-
-
 def call_proc(interp, proc, code, args):
-    """Run a proc body on the VM, entered from Python (mirrors
-    ``TclProc.__call__``: binding errors surface before the frame push,
-    ``return -code error`` converts at the proc boundary)."""
+    """Run a proc body on the VM, entered from Python (binding errors
+    surface before the frame push, ``return -code error`` converts at
+    the proc boundary, as in ``TclProc.__call__``)."""
     f = VMFrame(code, proc.ns, proc.name, 1, interp.current_ns, None)
     n_slots = len(code.slot_names)
     if proc._simple and len(args) == len(proc.params):
@@ -217,7 +191,7 @@ def call_proc(interp, proc, code, args):
             cells.extend([None] * (n_slots - len(cells)))
     else:
         cells = [None] * n_slots
-        _bind_slow(proc, f, args, cells)
+        proc.bind(f, args, cells)
     f.cells = cells
     if len(interp.frames) >= interp.FRAME_LIMIT:
         raise TclError("too many nested evaluations (infinite loop?)")
@@ -236,6 +210,34 @@ def call_proc(interp, proc, code, args):
         interp.current_ns = saved_ns
 
 
+def call_lit(interp, c):
+    """Dispatch one literal command from its CALL_LIT cache entry
+    ``[argv, tail, line, epoch, ns, mode, payload]`` with no code object
+    and no root frame (``Interp.eval``'s one-command scripts)."""
+    if c[3] == interp.cmd_epoch and c[4] is interp.current_ns:
+        mode = c[5]
+        interp.vm_stats.cache_hits += 1
+    else:
+        mode = _resolve_lit(interp, c)
+        interp.vm_stats.cache_misses += 1
+    argv = c[0]
+    payload = c[6]
+    if mode == 3:
+        if len(c[1]) == payload[2]:
+            return argv[payload[1] + 1] if payload[0] == 0 else payload[1]
+        fn = payload[3]  # wrong arity: the proc reports it
+    elif mode == 2:
+        fn = payload[0]
+    elif mode == 1:
+        fn = payload
+    else:
+        fn = interp.commands.get("unknown")
+        if fn is None:
+            raise TclError('invalid command name "%s"' % argv[0])
+        return interp._invoke(fn, list(argv), ["unknown"] + argv, c[2])
+    return interp._invoke(fn, c[1], argv, c[2])
+
+
 def run_script(interp, code):
     """Run script-context code against the current Tcl frame."""
     tclframe = interp.frames[-1]
@@ -245,11 +247,16 @@ def run_script(interp, code):
 
 
 def _raise_unwound(interp, frames, f, epc, e):
-    """Decorate a TclError like the AST call chain would, popping any
-    inline proc frames, then raise it."""
+    """Decorate a TclError like the interpreted call chain would,
+    popping any inline proc frames, then raise it."""
     while True:
+        loops = [b[3] for b in f.blocks if b[3] is not None]
         for s, t, text, line in f.code.regions:
             if s <= epc < t:
+                if type(text) is tuple:
+                    # Inlined foreach (its block is live while pc is in
+                    # its region; regions run innermost first).
+                    text = _abbrev(["foreach", text[0], loops.pop()[1], text[1]])
                 e.add_info('"%s" (line %d)' % (text, line))
         if f.kind != 2:
             raise e
@@ -375,7 +382,7 @@ def run(interp, root):
                                         )
                                 else:
                                     newcells = [None] * n_slots
-                                    _bind_slow(proc, nf, args, newcells)
+                                    proc.bind(nf, args, newcells)
                                 nf.cells = newcells
                             except TclError as e:
                                 e.add_info(
@@ -435,8 +442,8 @@ def run(interp, root):
                                     'invalid command name "%s"' % argv[0]
                                 )
                             stack.append(
-                                interp._finish_command(
-                                    ufn, ["unknown"] + list(argv), line, 1
+                                interp._invoke(
+                                    ufn, list(argv), ["unknown"] + argv, line
                                 )
                             )
                     elif op == OP_GUARD:
@@ -635,11 +642,30 @@ def run(interp, root):
                             e.add_info('"%s" (line %d)' % (text, line))
                             raise
                         stack.append(value)
-                    elif op == OP_EXEC:
-                        stack.append(interp._run_compiled(consts[arg]))
+                    elif op == OP_FOREACH_NEXT:
+                        st = f.blocks[-1][3]
+                        vals = next(st[0], None)
+                        if vals is None:
+                            pc = arg
+                            continue
+                        v = tclframe.version
+                        if v != cellsv:
+                            cells = f.cells = [None] * len(cells)
+                            cellsv = f.cellsv = v
+                        for (name, si), value in zip(st[2], vals):
+                            if si is None:
+                                interp.set_var(name, value)
+                                continue
+                            cell = cells[si]
+                            if cell is None:
+                                cell = tclframe.vars.get(name)
+                                if cell is None:
+                                    cell = tclframe.vars[name] = Var()
+                                cells[si] = cell
+                            cell.value = value
                     elif op == OP_PUSH_BLOCK:
                         b = consts[arg]
-                        f.blocks.append((b[0], b[1], len(stack)))
+                        f.blocks.append((b[0], b[1], len(stack), None))
                     elif op == OP_POP_BLOCK:
                         f.blocks.pop()
                     elif op == OP_JUMP_IF_TRUE:
@@ -658,6 +684,33 @@ def run(interp, root):
                         stack.append(eval_node(interp, consts[arg]))
                     elif op == OP_COERCE:
                         stack[-1] = coerce(stack[-1])
+                    elif op == OP_FOREACH_INIT:
+                        brk, top, targets = consts[arg]
+                        # [values iterator, list word, var targets]
+                        st = [None, stack.pop(), targets]
+                        f.blocks.append((brk, top, len(stack), st))
+                        values = expand_list(st[1])
+                        n = len(targets)
+                        values.extend([""] * (-len(values) % n))
+                        st[0] = zip(*[iter(values)] * n)
+                    elif op == OP_EXPAND:
+                        n, flags = consts[arg]
+                        words = stack[-n:]
+                        del stack[-n:]
+                        base = len(stack)
+                        for w, expand in zip(words, flags):
+                            if expand:
+                                stack.extend(expand_list(w))
+                            else:
+                                stack.append(w)
+                        k = len(stack) - base
+                        if k:
+                            caches[ops[pc + 1]][0] = k  # the CALL's argc
+                        else:
+                            stack.append("")  # nothing left to call
+                            pc += 2
+                    elif op == OP_PREFIX:
+                        stack[-1:-1] = consts[arg]
                     elif op == OP_BREAK:
                         raise TclBreak()
                     elif op == OP_CONTINUE:
@@ -698,7 +751,7 @@ def run(interp, root):
                     interp.current_ns = f.prev_ns
                     frames.pop()
                     f = frames[-1]
-                bpc, cpc, depth = f.blocks[-1]
+                bpc, cpc, depth, _ = f.blocks[-1]
                 code = f.code
                 ops = code.ops
                 consts = code.consts

@@ -325,10 +325,9 @@ class Worker:
             state = getattr(interp, attr, None)
             if state is not None:
                 state["embedded"].reset()
-        for attr in ("_code_cache", "_vm_code_cache"):
-            cache = getattr(interp, attr, None)
-            if cache is not None:
-                cache.clear()
+        cache = getattr(interp, "_vm_code_cache", None)
+        if cache is not None:
+            cache.clear()
 
     def _task_error(self, rank: int, payload: Any, e: BaseException) -> None:
         """Exception-safe task accounting: every failed task either

@@ -1,8 +1,8 @@
 """Invalidation behavior of the compile-and-cache fast paths.
 
-The compiled Tcl forms memoize resolved command pointers (and the expr
-AST / tail-return specializations built on top of them); the ADLB
-client memoizes closed TD values.  Every cache here must be *exactly*
+The Tcl VM's bytecode memoizes resolved command pointers in inline
+caches (and inlines `expr`/`return` behind guards built on the same
+epoch); the ADLB client memoizes closed TD values.  Every cache here must be *exactly*
 as fresh as the uncached path — these tests pin the invalidation rules.
 """
 
@@ -75,17 +75,17 @@ class TestCompiledCallSiteInvalidation:
         assert out == "first second"
 
     def test_expr_redefinition_disables_ast_fast_path(self, interp):
-        # A literal [expr {...}] call site precompiles the AST and skips
-        # the command dispatch entirely — until expr stops being the
-        # builtin.
+        # A literal [expr {...}] call site is lowered to stack ops and
+        # skips the command dispatch entirely — until expr stops being
+        # the builtin.
         interp.eval("proc g {x} { return [expr {$x + 1}] }")
         assert interp.eval("g 4") == "5"
         interp.register("expr", lambda it, args: "hijacked")
         assert interp.eval("g 4") == "hijacked"
 
     def test_return_redefinition_disables_tail_spec(self, interp):
-        # A trailing `return $x` is specialized away (no exception, no
-        # dispatch) — until return stops being the builtin.
+        # A body that is just `return $x` runs with no frame and no
+        # dispatch — until return stops being the builtin.
         interp.eval("proc g {x} { return $x }")
         assert interp.eval("g hi") == "hi"
         interp.register("return", lambda it, args: "custom:" + args[0])

@@ -1,7 +1,8 @@
-"""Bytecode VM differential tests: vm vs ast execution must agree.
+"""Bytecode VM differential tests: the VM must agree with the oracle.
 
-The VM (`repro.tcl.vm`) and the compiled-AST interpreter are two
-backends for the same language, switched by ``Interp(exec_mode=...)``.
+The VM (`repro.tcl.vm`, ``Interp()``) and the interpreted walk over the
+parsed command ASTs (``Interp(compile_enabled=False)``) are the two
+engines for the same language; the walk is the reference oracle.
 Every script here runs under both and must produce identical results
 — including identical error messages *and* identical ``errorInfo``
 traces — plus VM-only properties: explicit frame-depth limiting
@@ -24,9 +25,9 @@ from repro.tcl.interp import Interp
 from .test_swift_fuzz import Undefined, evaluate, exprs, to_swift
 
 
-def run_mode(script: str, mode: str):
+def run_mode(script: str, compile_enabled: bool):
     """('ok', result) or ('err', message, errorinfo-trace)."""
-    it = Interp(exec_mode=mode)
+    it = Interp(compile_enabled=compile_enabled)
     it.echo = False
     try:
         return ("ok", it.eval(script))
@@ -39,12 +40,12 @@ def run_mode(script: str, mode: str):
 
 
 def assert_same(script: str):
-    vm = run_mode(script, "vm")
-    ast = run_mode(script, "ast")
-    assert vm == ast, "vm/ast divergence on:\n%s\nvm:  %r\nast: %r" % (
+    vm = run_mode(script, True)
+    oracle = run_mode(script, False)
+    assert vm == oracle, "vm/oracle divergence on:\n%s\nvm:     %r\noracle: %r" % (
         script,
         vm,
-        ast,
+        oracle,
     )
     return vm
 
@@ -79,7 +80,7 @@ DIFFERENTIAL_SCRIPTS = [
     "proc lv {} { uplevel 1 {set leaked 42} }\nlv; set leaked",
     "set g 1\nproc useg {} { global g; incr g; return $g }\nuseg; useg",
     # errors: undefined things, wrong arity, bad incr — messages and
-    # errorInfo decoration must match the AST interpreter exactly
+    # errorInfo decoration must match the interpreted walk exactly
     "nosuchcommand a b",
     "set x",
     "proc one {a} {return $a}\none",
@@ -111,6 +112,70 @@ DIFFERENTIAL_SCRIPTS = [
     "string toupper [string range abcdef 1 3]",
     "lsort -integer {5 3 10 1}",
     "llength [lrange {a b c d e} 1 3]",
+    # {*} expansion: an EXPAND op ahead of the generic CALL
+    "proc f {args} { return [llength $args] }\nf {*}{a b} {*}[list c d] e",
+    "proc f {args} { set l {x y}; return [list {*}$l {*}$args] }\nf 1 2",
+    "set c list; {*}$c a b",
+    "{*}{}",
+    "set l {a {b}; list {*}$l",
+    "proc f {} { set l {a {b}; list {*}$l }\nf",
+    "set l \"{a\"; if {1} { list {*}$l }",
+    "set l \"{a\"; proc f {l} { list {*}$l }\ncatch {f $l} m; set m",
+    # an unparseable [...] inside a parseable command errors when reached
+    "set o {}; lappend o a; set y [set x \"a\"b]",
+    "proc f {} { set q 1; set y [expr {1}x] }\ncatch {f} m; set m",
+    "foreach v {1 2} { set y [set x {a}b] }",
+    # inlined builtins renamed or redefined mid-loop
+    "proc f {} { proc incr {args} { return hijacked }; set o {};"
+    " foreach i {1 2} { lappend o [incr x] }; return $o }\nf",
+    "proc f {} { set o {}; foreach i {1 2 3} { if {$i == 1} {"
+    " rename foreach _fe; proc foreach {args} { return hij } };"
+    " lappend o $i }; return $o }\nlist [f] [foreach a b c]",
+    "proc f {} { set o {}; foreach i {1 2 3} { if {$i == 2} {"
+    " rename set {} }; lappend o $i; set q 1 }; return $o }\n"
+    "catch {f} m; set m",
+    # foreach: list words, var lists, loop control, errors
+    "set l {a b}; foreach v $l { lappend o [string toupper $v] }; set o",
+    "foreach {a b} {1 2 3} { lappend o $a/$b }; set o",
+    "foreach a {1 2} b {x y z} { lappend o $a/$b }; set o",
+    "set vl {a b}; foreach $vl {1 2 3 4} { lappend o $b$a }; set o",
+    "foreach v {1 2} { foreach w {a b} { if {$w eq \"b\"} break;"
+    " lappend o $v$w }; lappend o | }; set o",
+    "foreach v {} { error never }; set z ok",
+    "foreach {} {1 2} { }",
+    "proc f {} { set x 9; upvar 0 x y; foreach y {1 2} { }; return $x }\nf",
+    "proc f {l} { foreach v $l { error \"boom $v\" } }\nf {1 2}",
+    "proc f {l} { foreach v $l { nosuch } }\nproc g {} { f {x y} }\ng",
+    "set l {a {b}; foreach v $l { }",
+    "foreach v $undefined { }",
+    "foreach v {1 2} { foreach w $v { error deep$w } }",
+    # break/continue/return -code inside foreach inside a proc
+    "proc f {} { foreach i {1 2 3} { if {$i == 2} { return -code break } };"
+    " return end }\nset o {}; foreach j {a b} { lappend o [f] }; set o",
+    "proc f {} { foreach i {1 2 3} { if {$i == 2} {"
+    " return -code error bad } }; return end }\ncatch {f} m; set m",
+    "proc f {} { foreach i {1 2 3} { if {$i == 2} { return $i } };"
+    " return none }\nf",
+    "proc c {} { continue }\nset o {}; foreach i {1 2 3} {"
+    " if {$i == 2} { c }; lappend o $i }; set o",
+    # loop command forms with a substituted body
+    "set body {incr i; if {$i == 2} break}; set i 0;"
+    " while {$i < 5} $body; set i",
+    "set b {lappend o $i}; for {set i 0} {$i < 3} {incr i} $b; set o",
+    "set b {lappend o $x}; foreach x {1 2} $b; set o",
+    # a word that renames the builtin is substituted before the lookup
+    "set x [rename set {}]",
+    "proc f {} { return [rename return {}] }\ncatch {f} m; set m",
+    "set o {}; lappend o [foreach v [rename foreach {}] { lappend o $v }]",
+    "proc g {} { set a [set b [set c 1]] }\ng\n"
+    "proc set {args} { return S[llength $args] }\ng",
+    "proc f {} { return }\nf\nrename return oldret\n"
+    "proc return {args} { oldret r[llength $args] }\nf",
+    # procs whose parameters the slot table declines
+    "proc f {a a} { return $a }\nf 1 2",
+    "proc f {a {a 5}} { return $a }\nlist [f 1] [f 1 2]",
+    "proc f {::x} { return ok }\nf 1",
+    "proc f {ns::x} { return $ns::x }\ncatch {f 1} m; set m",
 ]
 
 
@@ -145,9 +210,9 @@ def test_property_swift_programs_agree_across_backends(tree):
         'printf("R=%%i", result);\n' % to_swift(tree)
     )
     expected_lines = ["R=%d" % expected]
-    for mode in ("vm", "ast"):
-        out = swift_run(src, workers=2, tcl_exec=mode)
-        assert out.stdout_lines == expected_lines, (to_swift(tree), mode)
+    for tcl_compile in (True, False):
+        out = swift_run(src, workers=2, tcl_compile=tcl_compile)
+        assert out.stdout_lines == expected_lines, (to_swift(tree), tcl_compile)
 
 
 # --- inline-cache invalidation under the VM ------------------------------
@@ -155,7 +220,7 @@ def test_property_swift_programs_agree_across_backends(tree):
 
 @pytest.fixture
 def vm_interp():
-    it = Interp(exec_mode="vm")
+    it = Interp()
     it.echo = False
     return it
 
@@ -228,20 +293,27 @@ class TestVMCacheInvalidation:
 class TestVMDepth:
     def test_vm_mode_leaves_python_recursion_limit_alone(self):
         before = sys.getrecursionlimit()
-        it = Interp(exec_mode="vm")
+        it = Interp()
         assert sys.getrecursionlimit() == before
         it.eval("proc f {} {return ok}")
         assert it.eval("f") == "ok"
 
     def test_deep_finite_recursion_succeeds(self, vm_interp):
         # Far deeper than Python's default recursion limit allows for
-        # the AST interpreter without its setrecursionlimit bump:
-        # proc-to-proc calls are VM frames, not Python frames.
+        # the interpreted walk without its setrecursionlimit bump:
+        # proc-to-proc calls are VM frames, not Python frames.  The
+        # limit is pinned because any interpreted Interp built earlier
+        # in the process raised it.
         vm_interp.eval(
             "proc count {n} { if {$n == 0} {return done};"
             " return [count [expr {$n - 1}]] }"
         )
-        assert vm_interp.eval("count 2500") == "done"
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert vm_interp.eval("count 2500") == "done"
+        finally:
+            sys.setrecursionlimit(old)
 
     def test_infinite_recursion_is_catchable(self, vm_interp):
         vm_interp.eval("proc loop {} { loop }")
@@ -254,6 +326,49 @@ class TestVMDepth:
         vm_interp.eval("proc loop {} { loop }")
         assert vm_interp.eval("catch {loop}") == "1"
         assert vm_interp.eval("expr {2 + 2}") == "4"
+
+
+# Each recursion level of `p` passes through one of these builtins.
+RECURSION_BODIES = {
+    "foreach": "foreach v {1} { set r [p [expr {$n-1}]] }",
+    "foreach_list_word": "set l {1}; foreach v $l { set r [p [expr {$n-1}]] }",
+    "while": "set b {set r [p [expr {$n-1}]]; set k 1}; set k 0;"
+    " while {!$k} $b",
+    "for": "set b {set r [p [expr {$n-1}]]};"
+    " for {set k 0} {$k < 1} {incr k} $b",
+    "eval": "eval { set r [p [expr {$n-1}]] }",
+    "uplevel": "uplevel 0 { set r [p [expr {$n-1}]] }",
+    "lmap": "lmap v {1} { set r [p [expr {$n-1}]] }",
+    "dict_for": "dict for {k v} {a 1} { set r [p [expr {$n-1}]] }",
+    "switch": "switch a { a { set r [p [expr {$n-1}]] } }",
+}
+
+
+@pytest.mark.parametrize("builtin", sorted(RECURSION_BODIES))
+def test_recursion_through_builtins_never_raises_recursion_error(builtin):
+    # Under CPython's default recursion limit, 150 levels of Tcl
+    # recursion through a loop or eval builtin either finish with the
+    # oracle's result or stop at the catchable eval-depth TclError;
+    # a raw RecursionError would escape Tcl's `catch`.
+    script = (
+        "proc p {n} { if {$n == 0} { return 0 }; %s; return $r }\n"
+        "catch {p 150} m; set m" % RECURSION_BODIES[builtin]
+    )
+    oracle = run_mode(script, False)
+    assert oracle == ("ok", "0")
+    it = Interp()
+    it.echo = False
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = it.eval(script)
+    finally:
+        sys.setrecursionlimit(old)
+    if builtin == "foreach":
+        # inlined into the VM: the recursion is VM frames only
+        assert got == "0"
+    else:
+        assert got in ("0", "too many nested evaluations (infinite loop?)")
 
 
 # --- vm_stats counters ---------------------------------------------------
@@ -285,27 +400,37 @@ class TestVMStats:
 
     def test_single_literal_command_dispatches_directly(self, vm_interp):
         # The rule-action shape skips bytecode: one literal command
-        # lowers to a CompiledCommand, but the proc body it invokes
-        # still executes on the VM (frames counter moves).
-        from repro.tcl.interp import CompiledCommand
-
-        vm_interp.eval("proc g {x} { return $x }")
-        assert type(vm_interp.vm_compiled("g 5")) is CompiledCommand
+        # lowers to its bare CALL_LIT cache entry
+        # [argv, tail, line, epoch, ns, mode, payload], but the proc
+        # body it invokes still executes on the VM (frames counter
+        # moves).
+        vm_interp.eval("proc g {x} { set y $x; return $y }")
+        entry = vm_interp.vm_compiled("g 5")
+        assert type(entry) is list
+        assert entry[0] == ["g", "5"] and entry[1] == ["5"]
         before = vm_interp.vm_stats.frames
         assert vm_interp.eval("g 5") == "5"
         assert vm_interp.vm_stats.frames > before
+        assert entry[5] == 2  # resolved: VM-compiled proc
 
     def test_script_builtins_not_direct_dispatched(self, vm_interp):
-        # Control builtins evaluate their bodies via the AST-walk
-        # internals when called as plain functions, so a top-level
-        # `for`/`while`/... must take the full bytecode path.
+        # A lone command the compiler inlines (loops, if, set, ...)
+        # lowers to bytecode so its body runs inline; other builtins,
+        # script-taking ones included, take the cache-entry path and
+        # their bodies still reach the VM through Interp.eval.
         from repro.tcl.bytecode import Code
 
-        assert type(
-            vm_interp.vm_compiled(
-                "for {set i 0} {$i < 3} {incr i} { set x $i }"
-            )
-        ) is Code
+        for script in (
+            "for {set i 0} {$i < 3} {incr i} { set x $i }",
+            "foreach v {1 2 3} { set x $v }",
+            "while {0} { set x 1 }",
+        ):
+            code = vm_interp.vm_compiled(script)
+            assert type(code) is Code, script
+            name = script.split()[0]
+            assert "GUARD" in code.dis() and "(%s, fallback" % name in code.dis()
+        assert type(vm_interp.vm_compiled("catch {set x 1}")) is list
+        assert vm_interp.eval("catch {set x 7}; set x") == "7"
 
     def test_stats_folded_into_traced_run(self):
         out = swift_run(
