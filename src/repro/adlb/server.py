@@ -29,7 +29,7 @@ import dataclasses
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from ..faults import (
     EngineLost,
@@ -189,8 +189,141 @@ class RuleJournal:
         return journal
 
 
-#: dedup-cache marker: the request is parked, there is no reply to resend
-_PARKED = "__parked__"
+# ------------------------------------------------------------- data ops
+#
+# One plain function per data-store op: (store, msg) -> (result, notes,
+# refs).  The owner runs them for client requests and emits the notes
+# and store-throughs; a buddy's Replica replays its ward's op-log through
+# the same functions and discards them.
+
+
+def _create(store: DataStore, spec: dict) -> None:
+    store.create(
+        spec["id"],
+        spec["type"],
+        write_refcount=spec.get("write_refcount", 1),
+        read_refcount=spec.get("read_refcount", 1),
+    )
+
+
+def _refcount(store: DataStore, item: dict) -> list[Notification]:
+    return store.refcount(
+        item["id"],
+        read_delta=item.get("read_delta", 0),
+        write_delta=item.get("write_delta", 0),
+    )
+
+
+def _op_create(store: DataStore, msg: dict) -> tuple:
+    _create(store, msg)
+    return msg["id"], (), ()
+
+
+def _op_multicreate(store: DataStore, msg: dict) -> tuple:
+    for spec in msg["specs"]:
+        _create(store, spec)
+    return len(msg["specs"]), (), ()
+
+
+def _op_store(store: DataStore, msg: dict) -> tuple:
+    notes, refs = store.store(
+        msg["id"],
+        msg["value"],
+        subscript=msg.get("subscript"),
+        decr_write=msg.get("decr_write", 1),
+    )
+    return None, notes, refs
+
+
+def _op_retrieve(store: DataStore, msg: dict) -> tuple:
+    # Reply is (value, closed): the closed bit marks the value
+    # immutable, licensing the client to cache it locally.
+    value = store.retrieve_tagged(msg["id"], subscript=msg.get("subscript"))
+    return value, (), ()
+
+
+def _op_exists(store: DataStore, msg: dict) -> tuple:
+    return store.exists(msg["id"], subscript=msg.get("subscript")), (), ()
+
+
+def _op_typeof(store: DataStore, msg: dict) -> tuple:
+    return store.lookup(msg["id"]).type, (), ()
+
+
+def _op_subscribe(store: DataStore, msg: dict) -> tuple:
+    return store.subscribe(msg["id"], msg["rank"]), (), ()
+
+
+def _op_container_ref(store: DataStore, msg: dict) -> tuple:
+    ref = store.container_reference(msg["id"], msg["subscript"], msg["ref_id"])
+    return None, (), () if ref is None else (ref,)
+
+
+def _op_enumerate(store: DataStore, msg: dict) -> tuple:
+    return store.enumerate(msg["id"]), (), ()
+
+
+def _op_refcount(store: DataStore, msg: dict) -> tuple:
+    notes = _refcount(store, msg)
+    # freed: the read refcount dropped the TD; clients evict it from
+    # their retrieve caches.
+    return {"freed": msg["id"] not in store.tds}, notes, ()
+
+
+def _op_refcount_batch(store: DataStore, msg: dict) -> tuple:
+    # Coalesced refcount deltas from one client task (one entry per id),
+    # applied in order.  If one fails, the preceding ones stay applied
+    # (their close notifications ride the error as ``notes``) and the
+    # error is reported for the whole batch — matching the per-op RPC
+    # failure the client would have seen at its deferred call site.
+    notes: list[Notification] = []
+    freed: list[int] = []
+    try:
+        for item in msg["ops"]:
+            notes += _refcount(store, item)
+            if item["id"] not in store.tds:
+                freed.append(item["id"])
+    except DataStoreError as e:
+        e.notes = notes
+        raise
+    return {"freed": freed}, notes, ()
+
+
+class DataOp(NamedTuple):
+    fn: Callable[[DataStore, dict], tuple]
+    counted: bool  # counts in ServerStats.data_ops
+    # (result, refs) -> whether the op goes on the op-log; None for
+    # read-only ops.  Every data op is traced as an ``adlb`` instant.
+    log: Callable[[Any, Any], bool] | None
+
+
+_ALWAYS = lambda result, refs: True  # noqa: E731
+
+DATA_OPS: dict[str, DataOp] = {
+    C.OP_CREATE: DataOp(_op_create, True, _ALWAYS),
+    C.OP_MULTICREATE: DataOp(_op_multicreate, True, _ALWAYS),
+    C.OP_STORE: DataOp(_op_store, True, _ALWAYS),
+    C.OP_REFCOUNT: DataOp(_op_refcount, True, _ALWAYS),
+    C.OP_REFCOUNT_BATCH: DataOp(_op_refcount_batch, True, _ALWAYS),
+    # Subscribing to a closed TD, or referencing a member that already
+    # exists, leaves the store as it was: nothing to replicate.
+    C.OP_SUBSCRIBE: DataOp(_op_subscribe, True, lambda closed, _: not closed),
+    C.OP_CONTAINER_REF: DataOp(
+        _op_container_ref, True, lambda _, refs: not refs
+    ),
+    C.OP_RETRIEVE: DataOp(_op_retrieve, True, None),
+    C.OP_EXISTS: DataOp(_op_exists, True, None),
+    C.OP_ENUMERATE: DataOp(_op_enumerate, True, None),
+    C.OP_TYPEOF: DataOp(_op_typeof, False, None),
+}
+
+#: reliable-RPC channel of a request op.  One client interleaves all
+#: three (a parked engine keeps issuing sync RPCs; a worker's split GET
+#: stays outstanding across its decr_work), so the reply caches key on
+#: (client, channel): one shared slot per client would let a later reply
+#: evict an earlier channel's cached reply while its client still
+#: awaits it.
+_CHANNEL = {C.OP_GET: "get", C.OP_GET_ASYNC: "async"}
 
 
 class Replica:
@@ -206,15 +339,9 @@ class Replica:
         self.store = DataStore(replay_ok=True)
         self.tasks: dict[int, Task] = {}  # uid -> queued/delayed task
         self.leases: dict[int, Task] = {}  # client -> granted task
-        # client -> (seq, (tag, payload)): plain-RPC, sync-GET, and
-        # async-park dedup slots.  Three slots because the channels
-        # interleave: a parked engine keeps issuing sync RPCs, and a
-        # worker's split GET stays outstanding across its decr_work —
-        # one shared slot would let a later reply evict an earlier
-        # channel's cached reply while its client still awaits it.
-        self.dedup: dict[int, tuple[int, Any]] = {}
-        self.gdedup: dict[int, tuple[int, Any]] = {}
-        self.adedup: dict[int, tuple[int, Any]] = {}
+        # (client, channel) -> (seq, (tag, payload)): the ward's
+        # reliable-RPC reply cache, as far as the op-log carries it.
+        self.replies: dict[tuple[int, str], tuple[int, Any]] = {}
         self.dead_ranks: set[int] = set()
         # engine rank -> mirrored rule journal (survives anchor death)
         self.journals: dict[int, RuleJournal] = {}
@@ -227,7 +354,14 @@ class Replica:
     def apply(self, entry: tuple) -> None:
         kind = entry[0]
         if kind == "data":
-            self._apply_data(entry[1])
+            # Replay onto the shadow store; the owner already emitted
+            # the notifications and store-throughs.  An op that raised
+            # at the owner raises here after the same prefix, and a
+            # resilver overlap may replay one that already landed.
+            try:
+                DATA_OPS[entry[1]["op"]].fn(self.store, entry[1])
+            except DataStoreError:
+                pass
         elif kind == "task+":
             task = entry[1]
             self.tasks[task.uid] = task
@@ -235,21 +369,16 @@ class Replica:
             for uid in entry[1]:
                 self.tasks.pop(uid, None)
         elif kind == "grant":
-            _, task, client, seq, reply = entry
+            _, task, client = entry
             self.tasks.pop(task.uid, None)
             self.leases[client] = task
-            if seq is not None and seq >= 0:
-                slot = self.adedup if reply[0] == C.TAG_ASYNC else self.gdedup
-                cur = slot.get(client)
-                if cur is None or seq >= cur[0]:
-                    slot[client] = (seq, reply)
         elif kind == "done":
             self.leases.pop(entry[1], None)
-        elif kind == "dedup":
-            _, client, seq, reply = entry
-            cur = self.dedup.get(client)
+        elif kind == "reply":
+            _, key, seq, reply = entry
+            cur = self.replies.get(key)
             if cur is None or seq >= cur[0]:
-                self.dedup[client] = (seq, reply)
+                self.replies[key] = (seq, reply)
         elif kind == "work":
             _, self.work_count, self.work_started, self.poisoned = entry
         elif kind == "master":
@@ -265,9 +394,7 @@ class Replica:
             self.store.load_snapshot(state["store"])
             self.tasks = {t.uid: t for t in state["tasks"]}
             self.leases = dict(state["leases"])
-            self.dedup = dict(state["dedup"])
-            self.gdedup = dict(state["gdedup"])
-            self.adedup = dict(state["adedup"])
+            self.replies = dict(state["replies"])
             self.dead_ranks = set(state["dead_ranks"])
             self.journals = {
                 r: RuleJournal.from_state(s)
@@ -279,58 +406,6 @@ class Replica:
             self.next_id = state["next_id"]
         else:
             raise RuntimeError("unknown replication entry %r" % (kind,))
-
-    def _apply_data(self, msg: dict) -> None:
-        """Replay one data-store mutation onto the shadow store.
-
-        Notifications and ref store-throughs are discarded — the owner
-        already emitted them; the shadow only tracks resulting state."""
-        op = msg["op"]
-        s = self.store
-        try:
-            if op == C.OP_CREATE:
-                s.create(
-                    msg["id"],
-                    msg["type"],
-                    write_refcount=msg.get("write_refcount", 1),
-                    read_refcount=msg.get("read_refcount", 1),
-                )
-            elif op == C.OP_MULTICREATE:
-                for spec in msg["specs"]:
-                    s.create(
-                        spec["id"],
-                        spec["type"],
-                        write_refcount=spec.get("write_refcount", 1),
-                        read_refcount=spec.get("read_refcount", 1),
-                    )
-            elif op == C.OP_STORE:
-                s.store(
-                    msg["id"],
-                    msg["value"],
-                    subscript=msg.get("subscript"),
-                    decr_write=msg.get("decr_write", 1),
-                )
-            elif op == C.OP_SUBSCRIBE:
-                s.subscribe(msg["id"], msg["rank"])
-            elif op == C.OP_CONTAINER_REF:
-                s.container_reference(msg["id"], msg["subscript"], msg["ref_id"])
-            elif op == C.OP_REFCOUNT:
-                s.refcount(
-                    msg["id"],
-                    read_delta=msg.get("read_delta", 0),
-                    write_delta=msg.get("write_delta", 0),
-                )
-            elif op == C.OP_REFCOUNT_BATCH:
-                for item in msg["ops"]:
-                    s.refcount(
-                        item["id"],
-                        read_delta=item.get("read_delta", 0),
-                        write_delta=item.get("write_delta", 0),
-                    )
-        except DataStoreError:
-            # The owner validated the op before logging it; a replay
-            # divergence (e.g. resilver overlap) must not kill the buddy.
-            pass
 
 
 @dataclass
@@ -351,35 +426,6 @@ class ServerStats:
     data_ops: int = 0
     max_queue: int = 0
     idle_polls: int = 0
-
-
-#: client data ops traced as ``adlb``-category instants
-_DATA_OPS = {
-    C.OP_CREATE,
-    C.OP_MULTICREATE,
-    C.OP_STORE,
-    C.OP_RETRIEVE,
-    C.OP_EXISTS,
-    C.OP_SUBSCRIBE,
-    C.OP_CONTAINER_REF,
-    C.OP_ENUMERATE,
-    C.OP_REFCOUNT,
-    C.OP_REFCOUNT_BATCH,
-    C.OP_TYPEOF,
-}
-
-#: ops whose replies need no cross-server dedup replication: replaying
-#: them after a failover cannot corrupt state (GETs are dedup'd through
-#: the grant path instead).
-_READ_ONLY_OPS = {
-    C.OP_RETRIEVE,
-    C.OP_EXISTS,
-    C.OP_TYPEOF,
-    C.OP_ENUMERATE,
-    C.OP_STATS,
-    C.OP_GET,
-    C.OP_GET_ASYNC,
-}
 
 
 class Server:
@@ -478,14 +524,10 @@ class Server:
             self.map = ServerMap(layout)
         self.repl_stats = ReplStats()
         self.ckpt_stats = CkptStats()
-        # RPC dedup caches: client -> (seq, (tag, payload)); payload may
-        # be the _PARKED sentinel (request parked, nothing to resend).
-        # Plain RPCs, sync GETs, and async parks interleave from one
-        # client (a split GET stays outstanding across the worker's
-        # decr_work), so each channel gets its own slot.
-        self._dedup: dict[int, tuple[int, tuple[int, Any]]] = {}
-        self._gdedup: dict[int, tuple[int, tuple[int, Any]]] = {}
-        self._adedup: dict[int, tuple[int, tuple[int, Any]]] = {}
+        # Reliable-RPC reply cache: (client, channel) -> (seq, reply),
+        # reply = (tag, payload) to resend, or None while the request
+        # is parked (nothing to resend; a duplicate re-parks it).
+        self._replies: dict[tuple[int, str], tuple[int, tuple | None]] = {}
         self._buddy = self.map.buddy(self.rank) if self.replicate else None
         self._replicas: dict[int, Replica] = {}
         self._dead_servers: set[int] = set()
@@ -623,11 +665,7 @@ class Server:
                 continue
             msg, status = got
             if isinstance(msg, dict) and msg.get("op") == C.OP_JOURNAL:
-                jr = self._journals.setdefault(
-                    msg.get("rank", status.source), RuleJournal()
-                )
-                jr.apply(msg["entries"])
-                jr.last_heard = time.monotonic()
+                self._client_op(C.OP_JOURNAL, msg, status.source)
             # Anything else (heartbeats, reliable-RPC resends) would
             # have been dropped by exiting anyway; discard it.
 
@@ -660,11 +698,10 @@ class Server:
                 engine: len(journal.rules)
                 for engine, journal in self._journals.items()
             },
-            # per-channel dedup-slot counts (bounded by client count)
+            # per-channel reply-cache entries (bounded by client count)
             "dedup_slots": {
-                "rpc": len(self._dedup),
-                "get": len(self._gdedup),
-                "async": len(self._adedup),
+                ch: sum(c == ch for _, c in self._replies)
+                for ch in ("rpc", "get", "async")
             },
             "dead_ranks": sorted(self._dead_ranks),
             "attached_clients": len(self.attached_clients),
@@ -686,67 +723,72 @@ class Server:
             self._server_op(op, msg, source)
         else:
             seq = msg.get("seq", -1)
-            if seq >= 0 and self._dedup_hit(msg, source, seq):
-                pass
-            else:
+            if seq < 0 or not self._dedup_hit(op, source, seq):
                 try:
-                    result = self._client_op(op, msg, source)
+                    reply = ("ok", self._client_op(op, msg, source))
                 except DataStoreError as e:
-                    if tag == C.TAG_REQUEST:
-                        self._reply(("error", str(e)), source, seq)
-                    else:
+                    if tag != C.TAG_REQUEST:
                         raise
-                else:
-                    if tag == C.TAG_REQUEST and result is not _NO_REPLY:
-                        self._reply(("ok", result), source, seq)
-                if seq >= 0 and op not in _READ_ONLY_OPS:
-                    cached = self._dedup.get(source)
-                    if cached is not None and cached[0] == seq:
-                        self._repl(("dedup", source, seq, cached[1]))
+                    reply = ("error", str(e))
+                if tag == C.TAG_REQUEST and reply[1] is not _NO_REPLY:
+                    # Replies to ops that change state are replicated, so
+                    # a failover heir answers their re-sends from cache.
+                    log = False
+                    if seq >= 0:
+                        row = DATA_OPS.get(op)
+                        log = row.log is not None if row else op != C.OP_STATS
+                    self._reply(reply, source, seq, "rpc", log)
         # Replication batches flush at every dispatch boundary, so the
         # buddy's image is at most one in-flight batch behind.
         if self._repl_buf:
             self._repl_flush()
 
-    def _reply(self, payload: tuple, source: int, seq: int) -> None:
-        """Send a TAG_RESPONSE reply, seq-stamped and dedup-cached when
-        the request came from a reliable client."""
+    def _reply(
+        self, payload: tuple, source: int, seq: int, channel: str, log: bool
+    ) -> None:
+        """Send a TAG_RESPONSE reply, seq-stamped and cached when the
+        request came from a reliable client."""
         if seq >= 0:
             payload = payload + (seq,)
-            self._dedup[source] = (seq, (C.TAG_RESPONSE, payload))
+            reply = (C.TAG_RESPONSE, payload)
+            self._cache_reply(source, channel, seq, reply, log)
         self.comm.send(payload, source, C.TAG_RESPONSE)
 
-    def _dedup_hit(self, msg: dict, source: int, seq: int) -> bool:
+    def _cache_reply(
+        self,
+        client: int,
+        channel: str,
+        seq: int,
+        reply: tuple | None,
+        log: bool,
+    ) -> None:
+        """The one reply-cache write; ``log`` also puts it on the op-log
+        so the buddy's replica can answer re-sends after a failover."""
+        self._replies[(client, channel)] = (seq, reply)
+        if log:
+            self._repl(("reply", (client, channel), seq, reply))
+
+    def _dedup_hit(self, op: str, source: int, seq: int) -> bool:
         """True when a seq-stamped request is a duplicate and was fully
         handled here (cached reply resent, or silently dropped)."""
-        op = msg["op"]
-        is_async = op == C.OP_GET_ASYNC
-        if is_async:
-            slot = self._adedup
-        elif op == C.OP_GET:
-            slot = self._gdedup
-        else:
-            slot = self._dedup
-        cached = slot.get(source)
-        if cached is None:
-            return False
-        cseq, (ctag, cpayload) = cached
-        if seq > cseq:
+        channel = _CHANNEL.get(op, "rpc")
+        cached = self._replies.get((source, channel))
+        if cached is None or seq > cached[0]:
             return False  # genuinely new request
-        if seq < cseq:
+        if seq < cached[0]:
             return True  # duplicate of an already-superseded request
-        if cpayload is _PARKED:
+        self.repl_stats.dedup_hits += 1
+        reply = cached[1]
+        if reply is None:
             # Re-sent park (failover or resend timer): reprocess so the
             # request parks — or is served — at the current owner.
-            self.repl_stats.dedup_hits += 1
             self._unpark(source)
             return False
-        self.repl_stats.dedup_hits += 1
-        if is_async:
+        if channel == "async":
             # Re-ack the park, then resend the grant; the client drops
             # whichever copy it already consumed by sequence number.
             self.comm.send(("parked", seq), source, C.TAG_RESPONSE)
-        self.comm.send(cpayload, source, ctag)
+        self.comm.send(reply[1], source, reply[0])
         return True
 
     def _unpark(self, rank: int) -> None:
@@ -756,10 +798,15 @@ class Server:
 
     def _client_op(self, op: str, msg: dict, source: int) -> Any:
         tracer = self.tracer
-        if tracer is not None and op in _DATA_OPS:
-            tracer.instant(
-                self.rank, "adlb", "data:" + op.lower(), {"client": source}
-            )
+        row = DATA_OPS.get(op)
+        if row is not None:
+            if row.counted:
+                self.stats.data_ops += 1
+            if tracer is not None:
+                tracer.instant(
+                    self.rank, "adlb", "data:" + op.lower(), {"client": source}
+                )
+            return self._apply(row, msg)
         if op == C.OP_PUT:
             task = Task(
                 type=msg["type"],
@@ -777,67 +824,8 @@ class Server:
                 )
             self._accept_task(task)
             return None
-        if op == C.OP_GET:
-            seq = msg.get("seq", -1)
-            if self._leases is not None:
-                # Asking for the next task completes the previous lease.
-                if self._leases.pop(source, None) is not None:
-                    self._repl(("done", source))
-            if self.shutting_down:
-                payload: tuple = ("shutdown",)
-                if seq >= 0:
-                    payload = payload + (seq,)
-                    self._gdedup[source] = (seq, (C.TAG_RESPONSE, payload))
-                self.comm.send(payload, source, C.TAG_RESPONSE)
-                self._shutdown_acked.add(source)
-                return _NO_REPLY
-            types = tuple(msg["types"])
-            task = self.queue.pop(types, source)
-            if task is not None:
-                self._record_match(task)
-                self._send_grant(task, source, is_async=False, seq=seq)
-            else:
-                if tracer is not None:
-                    tracer.instant(
-                        self.rank, "adlb", "get_park", {"client": source}
-                    )
-                self._park(source, types, is_async=False, seq=seq)
-                self._maybe_steal()
-            return _NO_REPLY
-        if op == C.OP_GET_ASYNC:
-            seq = msg.get("seq", -1)
-            if seq >= 0:
-                # Reliable clients block on this acknowledgement so
-                # "parked" is distinguishable from "request lost"; it
-                # goes out in every branch (the grant/shutdown travels
-                # separately on the async channel).
-                self.comm.send(("parked", seq), source, C.TAG_RESPONSE)
-            if self._leases is not None:
-                if self._leases.pop(source, None) is not None:
-                    self._repl(("done", source))
-                    # The lease's control task is fully accounted by
-                    # the engine now; a later engine death must not
-                    # repair it again.
-                    jr = self._journals.get(source)
-                    if jr is not None and jr.ctask_done:
-                        jr.ctask_done = False
-                        self._repl(("journal", source, [("ctask_clear",)]))
-            if self.shutting_down:
-                self.comm.send(("shutdown",), source, C.TAG_ASYNC)
-                self._shutdown_acked.add(source)
-                return _NO_REPLY
-            types = tuple(msg["types"])
-            task = self.queue.pop(types, source)
-            if task is not None:
-                self._record_match(task)
-                self._send_grant(task, source, is_async=True, seq=seq)
-            else:
-                if tracer is not None:
-                    tracer.instant(
-                        self.rank, "adlb", "get_park", {"client": source}
-                    )
-                self._park(source, types, is_async=True, seq=seq)
-                self._maybe_steal()
+        if op == C.OP_GET or op == C.OP_GET_ASYNC:
+            self._get(msg, source, is_async=op == C.OP_GET_ASYNC)
             return _NO_REPLY
         if op == C.OP_ID_BLOCK:
             assert self.is_master, "id blocks come from the master server"
@@ -845,102 +833,6 @@ class Server:
             self._next_id += C.ID_BLOCK_SIZE
             self._repl(("master", self._next_id))
             return (start, C.ID_BLOCK_SIZE)
-        if op == C.OP_CREATE:
-            self.stats.data_ops += 1
-            self.store.create(
-                msg["id"],
-                msg["type"],
-                write_refcount=msg.get("write_refcount", 1),
-                read_refcount=msg.get("read_refcount", 1),
-            )
-            self._repl(("data", msg))
-            return msg["id"]
-        if op == C.OP_MULTICREATE:
-            self.stats.data_ops += 1
-            for spec in msg["specs"]:
-                self.store.create(
-                    spec["id"],
-                    spec["type"],
-                    write_refcount=spec.get("write_refcount", 1),
-                    read_refcount=spec.get("read_refcount", 1),
-                )
-            self._repl(("data", msg))
-            return len(msg["specs"])
-        if op == C.OP_STORE:
-            self.stats.data_ops += 1
-            notes, refs = self.store.store(
-                msg["id"],
-                msg["value"],
-                subscript=msg.get("subscript"),
-                decr_write=msg.get("decr_write", 1),
-            )
-            self._repl(("data", msg))
-            self._emit(notes, refs)
-            return None
-        if op == C.OP_RETRIEVE:
-            self.stats.data_ops += 1
-            # Reply is (value, closed): the closed bit marks the value
-            # immutable, licensing the client to cache it locally.
-            return self.store.retrieve_tagged(
-                msg["id"], subscript=msg.get("subscript")
-            )
-        if op == C.OP_EXISTS:
-            self.stats.data_ops += 1
-            return self.store.exists(msg["id"], subscript=msg.get("subscript"))
-        if op == C.OP_TYPEOF:
-            return self.store.lookup(msg["id"]).type
-        if op == C.OP_SUBSCRIBE:
-            self.stats.data_ops += 1
-            closed = self.store.subscribe(msg["id"], msg.get("rank", source))
-            if not closed:
-                self._repl(
-                    ("data", dict(msg, rank=msg.get("rank", source)))
-                )
-            return closed
-        if op == C.OP_CONTAINER_REF:
-            self.stats.data_ops += 1
-            ref = self.store.container_reference(
-                msg["id"], msg["subscript"], msg["ref_id"]
-            )
-            if ref is not None:
-                self._emit([], [ref])
-            else:
-                self._repl(("data", msg))
-            return None
-        if op == C.OP_ENUMERATE:
-            self.stats.data_ops += 1
-            return self.store.enumerate(msg["id"])
-        if op == C.OP_REFCOUNT:
-            self.stats.data_ops += 1
-            notes = self.store.refcount(
-                msg["id"],
-                read_delta=msg.get("read_delta", 0),
-                write_delta=msg.get("write_delta", 0),
-            )
-            self._repl(("data", msg))
-            self._emit(notes, [])
-            # freed: the read refcount dropped the TD; clients evict it
-            # from their retrieve caches.
-            return {"freed": msg["id"] not in self.store.tds}
-        if op == C.OP_REFCOUNT_BATCH:
-            # Coalesced refcount deltas from one client task (one entry
-            # per id).  Ops are applied in order; if one fails, the
-            # preceding ops stay applied and the error is reported for
-            # the whole batch — matching the per-op RPC failure the
-            # client would have seen at its deferred call site.
-            self.stats.data_ops += 1
-            freed: list[int] = []
-            for item in msg["ops"]:
-                notes = self.store.refcount(
-                    item["id"],
-                    read_delta=item.get("read_delta", 0),
-                    write_delta=item.get("write_delta", 0),
-                )
-                self._emit(notes, [])
-                if item["id"] not in self.store.tds:
-                    freed.append(item["id"])
-            self._repl(("data", msg))
-            return {"freed": freed}
         if op == C.OP_INCR_WORK:
             assert self.is_master
             self.work_count += msg.get("amount", 1)
@@ -975,10 +867,69 @@ class Server:
                 self._repl(("journal", rank, msg["entries"]))
             return None
         if op == C.OP_STATS:
-            from dataclasses import asdict
-
-            return asdict(self.stats)
+            return dataclasses.asdict(self.stats)
         raise DataStoreError("unknown ADLB op %r" % op)
+
+    def _apply(self, row: DataOp, msg: dict) -> Any:
+        """Run one data op on this server's store, put it on the op-log,
+        and emit its close notifications and store-throughs."""
+        fn, _, log = row
+        try:
+            result, notes, refs = fn(self.store, msg)
+        except DataStoreError as e:
+            # The op may have applied a prefix before raising (earlier
+            # batch items or specs, a value stored before its refcount
+            # check): log it anyway, so the buddy replays the same prefix.
+            if log is not None:
+                self._repl(("data", msg))
+            self._emit(getattr(e, "notes", ()), ())
+            raise
+        if log is not None and self.replicate and log(result, refs):
+            self._repl(("data", msg))
+        if notes or refs:
+            self._emit(notes, refs)
+        return result
+
+    def _get(self, msg: dict, source: int, is_async: bool) -> None:
+        """OP_GET (worker: reply on TAG_RESPONSE) or OP_GET_ASYNC
+        (engine: grant on the async channel): hand out a matching task
+        now, or park the request until one arrives."""
+        seq = msg.get("seq", -1)
+        if is_async and seq >= 0:
+            # Reliable clients block on this acknowledgement so "parked"
+            # is distinguishable from "request lost"; it goes out in
+            # every branch (the grant/shutdown travels separately on the
+            # async channel).
+            self.comm.send(("parked", seq), source, C.TAG_RESPONSE)
+        leases = self._leases
+        if leases is not None and leases.pop(source, None) is not None:
+            # Asking for the next task completes the previous lease.
+            self._repl(("done", source))
+            # An engine's control task is fully accounted by the engine
+            # now; a later engine death must not repair it again.
+            jr = self._journals.get(source)
+            if jr is not None and jr.ctask_done:
+                jr.ctask_done = False
+                self._repl(("journal", source, [("ctask_clear",)]))
+        if self.shutting_down:
+            if is_async:
+                self.comm.send(("shutdown",), source, C.TAG_ASYNC)
+            else:
+                self._reply(("shutdown",), source, seq, "get", log=False)
+            self._shutdown_acked.add(source)
+            return
+        types = tuple(msg["types"])
+        task = self.queue.pop(types, source)
+        if task is not None:
+            self._record_match(task)
+            self._send_grant(task, source, is_async, seq)
+            return
+        if self.tracer is not None:
+            self.tracer.instant(
+                self.rank, "adlb", "get_park", {"client": source}
+            )
+        self._park(source, types, is_async, seq)
+        self._maybe_steal()
 
     # --------------------------------------------------------------- server ops
 
@@ -1088,14 +1039,20 @@ class Server:
                 {"type": task.type, "targeted": task.target >= 0},
             )
 
-    def _accept_task(self, task: Task) -> None:
+    def _stamp_uid(self, task: Task) -> Task:
+        """Give a new task a stable identity, so op-log inserts/removals
+        correlate and provenance can chain retried attempts to their
+        original."""
         if task.uid < 0 and (self.replicate or self.tracer is not None):
-            # Stable identity so op-log inserts/removals correlate and
-            # provenance can chain retried attempts to their original.
             self._uid_counter += 1
             task = dataclasses.replace(
                 task, uid=(self.rank << 20) | self._uid_counter
             )
+        return task
+
+    def _accept_task(self, task: Task) -> None:
+        if task.uid < 0:
+            task = self._stamp_uid(task)
             if self.tracer is not None:
                 # Lineage node: a unit of queued work, linked back to
                 # the rule/unit that spawned it.
@@ -1120,18 +1077,16 @@ class Server:
         self, task: Task, source: int, is_async: bool, seq: int = -1
     ) -> None:
         """Hand a matched task to a client: lease it, send it, and
-        replicate the grant (which doubles as the dedup record a
-        failover heir resends)."""
+        replicate the grant and its cached reply (which a failover heir
+        resends)."""
         if is_async:
             payload: tuple = ("ctask", task.type, task.payload)
-            tag = C.TAG_ASYNC
+            tag, channel = C.TAG_ASYNC, "async"
         else:
             payload = ("task", task.type, task.payload)
-            tag = C.TAG_RESPONSE
+            tag, channel = C.TAG_RESPONSE, "get"
         if seq >= 0:
             payload = payload + (seq,)
-            slot = self._adedup if is_async else self._gdedup
-            slot[source] = (seq, (tag, payload))
         if self._leases is not None:
             self._grant(task, source)
         if self.flightrec is not None:
@@ -1149,9 +1104,9 @@ class Server:
                 {"uid": task.uid, "client": source, "attempts": task.attempts},
             )
         self.comm.send(payload, source, tag)
-        self._repl(
-            ("grant", task, source, seq if seq >= 0 else None, (tag, payload))
-        )
+        self._repl(("grant", task, source))
+        if seq >= 0:
+            self._cache_reply(source, channel, seq, (tag, payload), log=True)
 
     def _park(
         self, rank: int, types: tuple[str, ...], is_async: bool, seq: int
@@ -1161,8 +1116,8 @@ class Server:
         self._unpark(rank)
         self.parked.append(ParkedGet(rank, types, is_async=is_async, seq=seq))
         if seq >= 0:
-            slot = self._adedup if is_async else self._gdedup
-            slot[rank] = (seq, (C.TAG_RESPONSE, _PARKED))
+            channel = "async" if is_async else "get"
+            self._cache_reply(rank, channel, seq, None, log=False)
 
     def _emit(self, notes: list[Notification], refs: list[RefStore]) -> None:
         for note in notes:
@@ -1176,9 +1131,7 @@ class Server:
                 "decr_write": 1,
             }
             if home == self.rank:
-                notes2, refs2 = self.store.store(ref.ref_id, ref.value)
-                self._repl(("data", store_msg))
-                self._emit(notes2, refs2)
+                self._apply(DATA_OPS[C.OP_STORE], store_msg)
             else:
                 self.comm.send(store_msg, home, C.TAG_ONEWAY)
 
@@ -1247,9 +1200,7 @@ class Server:
             "store": self.store.snapshot(),
             "tasks": tasks,
             "leases": {c: l.task for c, l in (self._leases or {}).items()},
-            "dedup": dict(self._dedup),
-            "gdedup": dict(self._gdedup),
-            "adedup": dict(self._adedup),
+            "replies": dict(self._replies),
             "dead_ranks": set(self._dead_ranks),
             "work_count": self.work_count,
             "work_started": self.work_started,
@@ -1328,18 +1279,10 @@ class Server:
             self._poisoned = self._poisoned or rep.poisoned
             self._next_id = max(self._next_id, rep.next_id)
             self.is_master = True
-        for client, cached in rep.dedup.items():
-            cur = self._dedup.get(client)
+        for key, cached in rep.replies.items():
+            cur = self._replies.get(key)
             if cur is None or cached[0] > cur[0]:
-                self._dedup[client] = cached
-        for client, cached in rep.gdedup.items():
-            cur = self._gdedup.get(client)
-            if cur is None or cached[0] > cur[0]:
-                self._gdedup[client] = cached
-        for client, cached in rep.adedup.items():
-            cur = self._adedup.get(client)
-            if cur is None or cached[0] > cur[0]:
-                self._adedup[client] = cached
+                self._replies[key] = cached
         self._dead_ranks |= rep.dead_ranks
         # Engine rule journals anchored at the dead server now live
         # here.  The replica image merges first; flushes stranded in
@@ -1433,11 +1376,7 @@ class Server:
         if delay <= 0:
             self._accept_task(nxt)
         else:
-            if nxt.uid < 0 and (self.replicate or self.tracer is not None):
-                self._uid_counter += 1
-                nxt = dataclasses.replace(
-                    nxt, uid=(self.rank << 20) | self._uid_counter
-                )
+            nxt = self._stamp_uid(nxt)
             self._repl(("task+", nxt))
             self._delay_seq += 1
             heapq.heappush(
